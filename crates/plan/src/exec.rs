@@ -1,47 +1,50 @@
-//! Plan execution: lowering a [`Plan`]'s steps onto the static library.
+//! Plan execution: one block interpreter, run a chunk at a time.
 //!
-//! The executor mirrors how the static combinators lower a pipeline —
-//! random-access delayed (RAD) while the stream supports O(1) indexing,
-//! block-iterable delayed (BID) after a collapse point, a force at the
-//! first cut on a BID stream — so an optimized plan and the stage-by-
-//! stage lowering apply *the same element operations in the same order*.
-//! That equivalence is what `bds-check` verifies differentially, faults
-//! included.
+//! The executor walks a [`Plan`]'s steps into *segments*. A segment is
+//! a random-access input (the pipe's source, or a vector forced at a
+//! cut), the window that the cuts of its random-access prefix select
+//! from that input, and the chunk kernels of its stages (see
+//! [`crate::kernel`]). Each block of a segment streams its share of
+//! the window a chunk at a time: fill the chunk from the input, run
+//! every kernel over it in stage order, hand it to the consumer. The
+//! blocks run through the chunked drive loops of [`bds_seq::stream`],
+//! which own the per-block protocol: profile span, pinned geometry,
+//! memory charging before allocation, `apply`, and `recover_block`.
 //!
-//! Closure hygiene: every `execute` call builds fresh fused closures
-//! from the pipe's own stage list. The [`Plan`] contributes only stage
-//! indices and the mode, so a plan shared across pipelines (or tenants)
-//! can never leak one caller's captures into another's run.
+//! Eager points are where the static lowering has them, so a plan
+//! applies every closure to the same elements as the static
+//! combinators do — the demand windows and fault outcomes `bds-check`
+//! verifies:
+//!
+//! - each scan seeds its blocks with one eager pass over its input
+//!   (phases 1–2); a `map_idx` after a stage that drops elements gets
+//!   its blocks' position bases from the same kind of pass, over
+//!   survivor counts;
+//! - a cut on the random-access prefix only narrows the window, so the
+//!   stages before it run on the cut's window alone;
+//! - a cut after a filter or scan forces the segment so far into a
+//!   vector, which becomes the next segment's input.
+//!
+//! [`ExecMode::Sequential`] runs each segment as one block in the
+//! caller; [`ExecMode::Parallel`] uses the solved geometry on the pool.
+//!
+//! Closure hygiene: every `execute` call builds its segments from the
+//! pipe's own stage list. The [`Plan`] contributes only stage indices
+//! and the mode, so a plan shared across pipelines (or tenants) can
+//! never leak one caller's captures into another's run.
 
-use bds_seq::{tabulate, BoxRad, BoxSeq, Forced, RadSeq, Seq};
+use std::ops::Range;
+use std::sync::Arc;
 
+use bds_cost::{ElemCost, SIMPLE};
+use bds_pool::PollTicker;
+use bds_seq::policy::{ceil_div, LazyBlockSize};
+use bds_seq::simd::CHUNK;
+use bds_seq::stream::{self, ChunkedStream, Geometry};
+
+use crate::kernel::{ChunkFn, FillFn, IndexedFn, Positions, ScanFn};
 use crate::optimize::{ExecMode, Plan, PlanStep};
-use crate::pipe::{Consumed, ConsumerOp, FilterMapFn, Pipe, SourceOp, StageOp};
-
-/// The executor's stream state: RAD while random access survives, BID
-/// after a collapse point.
-enum St<T: Send + Sync + Clone + 'static> {
-    Rad(BoxRad<T>),
-    Bid(BoxSeq<T>),
-}
-
-impl<T: Send + Sync + Clone + 'static> St<T> {
-    fn len(&self) -> usize {
-        match self {
-            St::Rad(r) => r.len(),
-            St::Bid(b) => b.len(),
-        }
-    }
-
-    /// Force to a materialised random-access vector — the price a BID
-    /// stream pays at its first index-space stage.
-    fn into_forced(self) -> Forced<T> {
-        match self {
-            St::Rad(r) => r.force(),
-            St::Bid(b) => b.force(),
-        }
-    }
-}
+use crate::pipe::{Consumed, ConsumerOp, Pipe, SourceOp, StageOp};
 
 impl<T: Send + Sync + Clone + 'static> Pipe<T> {
     /// Run this pipeline under `plan`, feeding the final stream to
@@ -61,10 +64,20 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
             plan.shape, shape,
             "plan was built for a different pipeline shape"
         );
-        match plan.mode {
-            ExecMode::Parallel => self.execute_parallel(plan, consumer),
-            ExecMode::Sequential => self.execute_sequential(plan, consumer),
+        let mut seg = Segment::of_source(&self.source, plan.mode);
+        for step in &plan.steps {
+            // Every run of stages executes back to back on each chunk,
+            // so a fused run is its stages in order, and a gather is
+            // its cuts composed into one window.
+            let stages = match step {
+                PlanStep::Stage(i) => std::slice::from_ref(i),
+                PlanStep::FusedFilterMap(idxs) | PlanStep::Gather(idxs) => idxs.as_slice(),
+            };
+            for &i in stages {
+                seg = seg.then(&self.stages[i]);
+            }
         }
+        seg.consume(consumer)
     }
 
     /// Plan-and-run convenience: fetch (or optimize) this pipe's plan
@@ -107,334 +120,619 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
             _ => unreachable!("count plan produced a non-count"),
         }
     }
+}
 
-    fn execute_parallel(&self, plan: &Plan, consumer: &ConsumerOp<T>) -> Consumed<T> {
-        let mut st = match &self.source {
-            SourceOp::Tabulate(n, f, _) => {
-                let f = f.clone();
-                St::Rad(BoxRad::new(tabulate(*n, move |i| f(i))))
-            }
-            SourceOp::FromVec(data) => St::Rad(BoxRad::new(Forced::from_vec(data.as_ref().clone()))),
-        };
-        for step in &plan.steps {
-            st = match step {
-                PlanStep::Stage(i) => self.apply_stage(st, *i),
-                PlanStep::FusedFilterMap(idxs) => {
-                    let g = self.fuse_run(idxs);
-                    St::Bid(BoxSeq::new(match st {
-                        St::Rad(r) => r.filter_op(move |x| g(x)),
-                        St::Bid(b) => b.filter_op(move |x| g(x)),
-                    }))
-                }
-                PlanStep::Gather(idxs) => {
-                    let (offset, len, reversed) = self.gather_params(idxs, st.len());
-                    let r = match st {
-                        St::Rad(r) => r,
-                        bid => BoxRad::new(bid.into_forced()),
-                    };
-                    let r = BoxRad::new(r.skip(offset));
-                    let r = BoxRad::new(r.take(len));
-                    St::Rad(if reversed { BoxRad::new(r.rev()) } else { r })
-                }
-            };
-        }
-        match st {
-            St::Rad(r) => consume(&r, consumer),
-            St::Bid(b) => consume(&b, consumer),
+/// Where a segment's elements come from.
+enum Input<T> {
+    Tabulate(FillFn<T>),
+    Data(Arc<Vec<T>>),
+}
+
+/// The part of a segment's input that its cuts select:
+/// `input[offset..offset + len]`, read backwards when `reversed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Window {
+    offset: usize,
+    len: usize,
+    reversed: bool,
+}
+
+impl Window {
+    fn all(len: usize) -> Window {
+        Window {
+            offset: 0,
+            len,
+            reversed: false,
         }
     }
 
-    fn apply_stage(&self, st: St<T>, i: usize) -> St<T> {
-        match &self.stages[i] {
-            StageOp::Map(f, _) => {
-                let f = f.clone();
-                match st {
-                    St::Rad(r) => St::Rad(BoxRad::new(r.map(move |x| f(x)))),
-                    St::Bid(b) => St::Bid(BoxSeq::new(b.map(move |x| f(x)))),
-                }
-            }
-            StageOp::MapIdx(f, _) => {
-                // Lowered as a zip with an index partner, exactly like
-                // the static library's index-aware zips: stays lazy and
-                // representation-preserving.
-                let f = f.clone();
-                let partner = tabulate(st.len(), |i| i);
-                match st {
-                    St::Rad(r) => St::Rad(BoxRad::new(r.zip_with(partner, move |x, i| f(i, x)))),
-                    St::Bid(b) => St::Bid(BoxSeq::new(b.zip_with(partner, move |x, i| f(i, x)))),
-                }
-            }
-            StageOp::Filter(p, _) => {
-                let p = p.clone();
-                St::Bid(BoxSeq::new(match st {
-                    St::Rad(r) => r.filter(move |x: &T| p(x)),
-                    St::Bid(b) => b.filter(move |x: &T| p(x)),
-                }))
-            }
-            StageOp::FilterMap(f, _) => {
-                let f = f.clone();
-                St::Bid(BoxSeq::new(match st {
-                    St::Rad(r) => r.filter_op(move |x| f(x)),
-                    St::Bid(b) => b.filter_op(move |x| f(x)),
-                }))
-            }
-            StageOp::Scan(zero, f, _) => {
-                let f = f.clone();
-                St::Bid(match st {
-                    St::Rad(r) => BoxSeq::new(r.scan(zero.clone(), move |a, b| f(a, b)).0),
-                    St::Bid(b) => BoxSeq::new(b.scan(zero.clone(), move |a, b| f(a, b)).0),
-                })
-            }
-            StageOp::ScanIncl(zero, f, _) => {
-                let f = f.clone();
-                St::Bid(match st {
-                    St::Rad(r) => BoxSeq::new(r.scan_incl(zero.clone(), move |a, b| f(a, b))),
-                    St::Bid(b) => BoxSeq::new(b.scan_incl(zero.clone(), move |a, b| f(a, b))),
-                })
-            }
-            StageOp::Take(k) => match st {
-                St::Rad(r) => St::Rad(BoxRad::new(r.take(*k))),
-                bid => St::Rad(BoxRad::new(bid.into_forced().take(*k))),
-            },
-            StageOp::Skip(k) => match st {
-                St::Rad(r) => St::Rad(BoxRad::new(r.skip(*k))),
-                bid => St::Rad(BoxRad::new(bid.into_forced().skip(*k))),
-            },
-            StageOp::Rev => match st {
-                St::Rad(r) => St::Rad(BoxRad::new(r.rev())),
-                bid => St::Rad(BoxRad::new(bid.into_forced().rev())),
-            },
-        }
-    }
-
-    /// Compose a fused run's stages into one `filter_op` closure. Built
-    /// fresh per execution; applies the run's closures to each element
-    /// in stage order, short-circuiting on the first rejection — the
-    /// same applications, in the same order, as the unfused stages.
-    fn fuse_run(&self, idxs: &[usize]) -> FilterMapFn<T> {
-        let mut fused: FilterMapFn<T> = std::sync::Arc::new(Some);
-        for &i in idxs {
-            let prev = fused;
-            fused = match &self.stages[i] {
-                StageOp::Map(f, _) => {
-                    let f = f.clone();
-                    std::sync::Arc::new(move |x| prev(x).map(|y| f(y)))
-                }
-                StageOp::Filter(p, _) => {
-                    let p = p.clone();
-                    std::sync::Arc::new(move |x| prev(x).filter(|y| p(y)))
-                }
-                StageOp::FilterMap(f, _) => {
-                    let f = f.clone();
-                    std::sync::Arc::new(move |x| prev(x).and_then(|y| f(y)))
-                }
-                _ => unreachable!("optimizer fused a non-fusable stage"),
-            };
-        }
-        fused
-    }
-
-    /// Compose a gather run's cuts into `(offset, len, reversed)` over
-    /// an input of length `in_len`. Walking the cuts in order while
-    /// tracking orientation reproduces exactly the window the
-    /// stage-by-stage cuts would select.
-    fn gather_params(&self, idxs: &[usize], in_len: usize) -> (usize, usize, bool) {
-        let (mut offset, mut len, mut reversed) = (0usize, in_len, false);
-        for &i in idxs {
-            match &self.stages[i] {
-                StageOp::Take(k) => {
-                    let k = (*k).min(len);
-                    if reversed {
-                        // Keeping the first k of a reversed view keeps
-                        // the *last* k of the underlying window.
-                        offset += len - k;
-                    }
-                    len = k;
-                }
-                StageOp::Skip(k) => {
-                    let k = (*k).min(len);
-                    if !reversed {
-                        offset += k;
-                    }
-                    len -= k;
-                }
-                StageOp::Rev => reversed = !reversed,
-                _ => unreachable!("optimizer gathered a non-cut stage"),
-            }
-        }
-        (offset, len, reversed)
-    }
-
-    fn execute_sequential(&self, plan: &Plan, consumer: &ConsumerOp<T>) -> Consumed<T> {
-        // The sequential lowering is one block as far as recovery is
-        // concerned: it never reserves disjoint output regions, so under
-        // an ambient `RetryPolicy` a transient fault retries the whole
-        // (by-design-cheap) run — the same contract a one-block parallel
-        // geometry has. Without a policy this is a plain pass-through.
-        bds_pool::recover_block(0, || {
-            let mut v: Vec<T> = match &self.source {
-                SourceOp::Tabulate(n, f, _) => (0..*n).map(|i| f(i)).collect(),
-                SourceOp::FromVec(data) => data.as_ref().clone(),
-            };
-            for step in &plan.steps {
-                v = match step {
-                    PlanStep::Stage(i) => self.apply_stage_vec(v, *i),
-                    PlanStep::FusedFilterMap(idxs) => {
-                        let g = self.fuse_run(idxs);
-                        v.into_iter().filter_map(|x| g(x)).collect()
-                    }
-                    PlanStep::Gather(idxs) => {
-                        let (offset, len, reversed) = self.gather_params(idxs, v.len());
-                        let mut out: Vec<T> = v.into_iter().skip(offset).take(len).collect();
-                        if reversed {
-                            out.reverse();
-                        }
-                        out
-                    }
-                };
-            }
-            match consumer {
-                ConsumerOp::Collect => Consumed::Vec(v),
-                // Left fold: the same order-preserving combine the parallel
-                // reduce computes for an associative combiner.
-                ConsumerOp::Reduce(zero, f, _) => {
-                    Consumed::Scalar(v.into_iter().fold(zero.clone(), |a, b| f(a, b)))
-                }
-                ConsumerOp::Count(p, _) => Consumed::Num(v.iter().filter(|x| p(x)).count()),
-            }
-        })
-    }
-
-    fn apply_stage_vec(&self, v: Vec<T>, i: usize) -> Vec<T> {
-        match &self.stages[i] {
-            StageOp::Map(f, _) => v.into_iter().map(|x| f(x)).collect(),
-            StageOp::MapIdx(f, _) => v.into_iter().enumerate().map(|(i, x)| f(i, x)).collect(),
-            StageOp::Filter(p, _) => v.into_iter().filter(|x| p(x)).collect(),
-            StageOp::FilterMap(f, _) => v.into_iter().filter_map(|x| f(x)).collect(),
-            StageOp::Scan(zero, f, _) => {
-                let mut acc = zero.clone();
-                v.into_iter()
-                    .map(|x| {
-                        let out = acc.clone();
-                        acc = f(acc.clone(), x);
-                        out
-                    })
-                    .collect()
-            }
-            StageOp::ScanIncl(zero, f, _) => {
-                let mut acc = zero.clone();
-                v.into_iter()
-                    .map(|x| {
-                        acc = f(acc.clone(), x);
-                        acc.clone()
-                    })
-                    .collect()
-            }
+    /// Narrow by one cut. Walking a chain of cuts while tracking
+    /// orientation selects exactly the window the stage-by-stage cuts
+    /// would.
+    fn cut<T>(&mut self, stage: &StageOp<T>) {
+        match stage {
             StageOp::Take(k) => {
-                let mut v = v;
-                v.truncate(*k);
-                v
+                let k = (*k).min(self.len);
+                if self.reversed {
+                    // Keeping the first k of a reversed view keeps the
+                    // *last* k of the underlying window.
+                    self.offset += self.len - k;
+                }
+                self.len = k;
             }
             StageOp::Skip(k) => {
-                let k = (*k).min(v.len());
-                let mut v = v;
-                v.drain(..k);
-                v
+                let k = (*k).min(self.len);
+                if !self.reversed {
+                    self.offset += k;
+                }
+                self.len -= k;
             }
-            StageOp::Rev => {
-                let mut v = v;
-                v.reverse();
-                v
-            }
+            StageOp::Rev => self.reversed = !self.reversed,
+            _ => unreachable!("only cuts narrow a window"),
+        }
+    }
+
+    /// Input index of window position `p`.
+    fn index(&self, p: usize) -> usize {
+        if self.reversed {
+            self.offset + self.len - 1 - p
+        } else {
+            self.offset + p
+        }
+    }
+
+    /// Window position of input index `i`, which the window contains.
+    fn position(&self, i: usize) -> usize {
+        if self.reversed {
+            self.offset + self.len - 1 - i
+        } else {
+            i - self.offset
+        }
+    }
+
+    /// The input range behind window positions `lo..hi`, and whether
+    /// to walk it backwards.
+    fn span(&self, lo: usize, hi: usize) -> (Range<usize>, bool) {
+        if self.reversed {
+            let end = self.offset + self.len;
+            (end - hi..end - lo, true)
+        } else {
+            (self.offset + lo..self.offset + hi, false)
         }
     }
 }
 
-fn consume<T, S>(s: &S, consumer: &ConsumerOp<T>) -> Consumed<T>
-where
-    T: Send + Sync + Clone + 'static,
-    S: Seq<Item = T>,
-{
-    // Every arm is a direct call into the unified indexed-stream drive
-    // loops: the plan legs consume through exactly the engine the
-    // static, erased, and dynamic legs use.
-    use bds_seq::stream;
-    let st = stream::of_seq(s);
-    match consumer {
-        ConsumerOp::Collect => Consumed::Vec(stream::to_vec(&st)),
-        ConsumerOp::Reduce(zero, f, _) => {
-            let f = f.clone();
-            Consumed::Scalar(stream::reduce(&st, zero.clone(), &move |a, b| f(a, b)))
+/// One stage of a segment, as the interpreter runs it.
+enum Op<T> {
+    /// `map`.
+    Map(ChunkFn<T>),
+    /// `filter` or `filter_map`: may drop elements.
+    Filter(ChunkFn<T>),
+    /// `map_idx`.
+    Indexed(IndexedFn<T>, At),
+    /// `scan` or `scan_incl`. `seeds[j]` starts block `j`; empty
+    /// means one block, started by `zero`.
+    Scan {
+        kernel: ScanFn<T>,
+        zero: T,
+        inclusive: bool,
+        seeds: Vec<T>,
+    },
+}
+
+/// How a `map_idx` learns its elements' indices.
+enum At {
+    /// No earlier stage of the segment drops elements, so the stage
+    /// sees the segment's input through this window (the final window
+    /// is the same or narrower).
+    Window(Window),
+    /// An earlier stage drops elements: block `j`'s survivors start at
+    /// `bases[j]`; empty means one block, starting at 0.
+    Counted(Vec<usize>),
+}
+
+/// A block's running state for one op.
+enum Carry<T> {
+    None,
+    Pos(usize),
+    Acc(T),
+}
+
+impl<T: Clone> Op<T> {
+    fn drops(&self) -> bool {
+        matches!(self, Op::Filter(_))
+    }
+
+    /// Whether random access ends here: a cut after this op forces.
+    fn collapses(&self) -> bool {
+        self.drops() || matches!(self, Op::Scan { .. })
+    }
+
+    fn carry(&self, j: usize) -> Carry<T> {
+        match self {
+            Op::Indexed(_, At::Counted(bases)) => Carry::Pos(bases.get(j).copied().unwrap_or(0)),
+            Op::Scan { zero, seeds, .. } => Carry::Acc(seeds.get(j).unwrap_or(zero).clone()),
+            _ => Carry::None,
         }
-        ConsumerOp::Count(p, _) => {
-            let p = p.clone();
-            Consumed::Num(stream::count(&st, &move |x| p(x)))
+    }
+
+    /// Run this op over a chunk that starts at position `at` of the
+    /// segment's final `window`.
+    fn run(&self, chunk: &mut Vec<T>, carry: &mut Carry<T>, window: &Window, at: usize) {
+        match (self, carry) {
+            (Op::Map(f) | Op::Filter(f), _) => f(chunk),
+            (Op::Indexed(f, At::Window(seen)), _) => f(
+                chunk,
+                Positions {
+                    start: seen.position(window.index(at)),
+                    descending: seen.reversed != window.reversed,
+                },
+            ),
+            (Op::Indexed(f, At::Counted(_)), Carry::Pos(pos)) => {
+                f(
+                    chunk,
+                    Positions {
+                        start: *pos,
+                        descending: false,
+                    },
+                );
+                *pos += chunk.len();
+            }
+            (
+                Op::Scan {
+                    kernel, inclusive, ..
+                },
+                Carry::Acc(acc),
+            ) => kernel.prefix(acc, chunk, *inclusive),
+            _ => unreachable!("carry built for a different op"),
+        }
+    }
+}
+
+/// An input, its window, and the stages run over it up to the next
+/// force.
+struct Segment<T> {
+    input: Input<T>,
+    window: Window,
+    ops: Vec<Op<T>>,
+    /// Per-element cost of reading the input and running every op.
+    cost: ElemCost,
+    mode: ExecMode,
+    bs: LazyBlockSize,
+}
+
+impl<T: Send + Sync + Clone + 'static> Segment<T> {
+    fn of_source(source: &SourceOp<T>, mode: ExecMode) -> Segment<T> {
+        match source {
+            SourceOp::Tabulate(n, fill, cost) => {
+                Segment::new(Input::Tabulate(fill.clone()), *n, *cost, mode)
+            }
+            SourceOp::FromVec(data) => {
+                Segment::new(Input::Data(data.clone()), data.len(), SIMPLE, mode)
+            }
+        }
+    }
+
+    fn new(input: Input<T>, len: usize, cost: ElemCost, mode: ExecMode) -> Segment<T> {
+        Segment {
+            input,
+            window: Window::all(len),
+            ops: Vec::new(),
+            cost,
+            mode,
+            bs: LazyBlockSize::new(),
+        }
+    }
+
+    /// Append one stage.
+    fn then(mut self, stage: &StageOp<T>) -> Segment<T> {
+        let (op, cost) = match stage {
+            StageOp::Take(_) | StageOp::Skip(_) | StageOp::Rev => {
+                if self.ops.iter().any(Op::collapses) {
+                    // A cut on a block-iterable stream forces it.
+                    let mode = self.mode;
+                    let data = self.collect();
+                    let len = data.len();
+                    self = Segment::new(Input::Data(Arc::new(data)), len, SIMPLE, mode);
+                }
+                self.window.cut(stage);
+                return self;
+            }
+            StageOp::Map(f, c) => (Op::Map(f.clone()), c),
+            StageOp::Filter(f, c) | StageOp::FilterMap(f, c) => (Op::Filter(f.clone()), c),
+            StageOp::MapIdx(f, c) => {
+                let at = if self.ops.iter().any(Op::drops) {
+                    At::Counted(Vec::new())
+                } else {
+                    At::Window(self.window)
+                };
+                (Op::Indexed(f.clone(), at), c)
+            }
+            StageOp::Scan(zero, kernel, c) | StageOp::ScanIncl(zero, kernel, c) => (
+                Op::Scan {
+                    kernel: kernel.clone(),
+                    zero: zero.clone(),
+                    inclusive: matches!(stage, StageOp::ScanIncl(..)),
+                    seeds: Vec::new(),
+                },
+                c,
+            ),
+        };
+        self.ops.push(op);
+        self.cost += *cost;
+        self
+    }
+
+    fn block_size(&self, downstream: ElemCost) -> usize {
+        match self.mode {
+            ExecMode::Sequential => self.window.len.max(1),
+            ExecMode::Parallel => self.bs.get_costed(self.window.len, self.cost + downstream),
+        }
+    }
+
+    /// Append the input elements behind window positions `lo..hi`.
+    fn fill(&self, chunk: &mut Vec<T>, lo: usize, hi: usize) {
+        let (range, backwards) = self.window.span(lo, hi);
+        match &self.input {
+            Input::Tabulate(fill) => fill(chunk, range, backwards),
+            Input::Data(data) if backwards => chunk.extend(data[range].iter().rev().cloned()),
+            Input::Data(data) => chunk.extend_from_slice(&data[range]),
+        }
+    }
+
+    /// The eager seed passes: each scan's per-block accumulators, and
+    /// each counted `map_idx`'s per-block position bases, in stage
+    /// order (a later pass streams through the earlier stages' seeds).
+    /// A single block needs none: it starts from the scan's zero and
+    /// from position 0.
+    fn seed(&mut self) {
+        let seeded = |op: &Op<T>| matches!(op, Op::Scan { .. } | Op::Indexed(_, At::Counted(_)));
+        // Check for seeded ops first: resolving the block size pins it,
+        // and without a seed pass the consumer's own cost should.
+        if !self.ops.iter().any(seeded) || ceil_div(self.window.len, self.block_size(SIMPLE)) <= 1 {
+            return;
+        }
+        for k in 0..self.ops.len() {
+            let input = Upto {
+                seg: &*self,
+                ops: k,
+            };
+            match &self.ops[k] {
+                Op::Scan { kernel, zero, .. } => {
+                    let totals =
+                        stream::block_folds(&input, &|t: &mut Option<T>, c: &mut Vec<T>| {
+                            kernel.fold(t, c)
+                        });
+                    let mut acc = zero.clone();
+                    let mut starts = Vec::with_capacity(totals.len());
+                    for t in totals {
+                        starts.push(acc.clone());
+                        if let Some(t) = t {
+                            acc = kernel.combine(acc, t);
+                        }
+                    }
+                    if let Op::Scan { seeds, .. } = &mut self.ops[k] {
+                        *seeds = starts;
+                    }
+                }
+                Op::Indexed(_, At::Counted(_)) => {
+                    let counts =
+                        stream::block_folds(&input, &|n: &mut usize, c: &mut Vec<T>| *n += c.len());
+                    let starts = counts
+                        .iter()
+                        .scan(0, |acc, n| {
+                            let base = *acc;
+                            *acc += n;
+                            Some(base)
+                        })
+                        .collect();
+                    if let Op::Indexed(_, At::Counted(bases)) = &mut self.ops[k] {
+                        *bases = starts;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn whole(&self) -> Upto<'_, T> {
+        Upto {
+            seg: self,
+            ops: self.ops.len(),
+        }
+    }
+
+    fn collect(mut self) -> Vec<T> {
+        self.seed();
+        stream::to_vec_chunked(&self.whole())
+    }
+
+    fn consume(mut self, consumer: &ConsumerOp<T>) -> Consumed<T> {
+        self.seed();
+        let s = self.whole();
+        match consumer {
+            ConsumerOp::Collect => Consumed::Vec(stream::to_vec_chunked(&s)),
+            ConsumerOp::Reduce(zero, f, _) => {
+                Consumed::Scalar(stream::reduce_chunked(&s, zero.clone(), &|a, b| f(a, b)))
+            }
+            ConsumerOp::Count(p, _) => Consumed::Num(stream::count_chunked(&s, &|x| p(x))),
+        }
+    }
+}
+
+/// A segment's first `ops` stages as a chunked stream: the whole
+/// segment, or the input of the stage a seed pass is for.
+struct Upto<'s, T> {
+    seg: &'s Segment<T>,
+    ops: usize,
+}
+
+impl<T: Send + Sync + Clone + 'static> ChunkedStream for Upto<'_, T> {
+    type Item = T;
+
+    fn len(&self) -> usize {
+        self.seg.window.len
+    }
+
+    fn exact(&self) -> bool {
+        !self.seg.ops[..self.ops].iter().any(Op::drops)
+    }
+
+    fn resolve_block_size(&self, downstream: ElemCost) -> usize {
+        self.seg.block_size(downstream)
+    }
+
+    fn stream_chunks<F: FnMut(&mut Vec<T>)>(&self, g: Geometry, j: usize, mut sink: F) {
+        let seg = self.seg;
+        let ops = &seg.ops[..self.ops];
+        let mut carry: Vec<Carry<T>> = ops.iter().map(|op| op.carry(j)).collect();
+        let (lo, hi) = g.block_bounds(j);
+        let mut chunk = Vec::with_capacity(CHUNK.min(hi - lo));
+        let mut ticker = PollTicker::new();
+        let mut at = lo;
+        while at < hi {
+            let end = (at + CHUNK).min(hi);
+            ticker.tick_n(end - at);
+            chunk.clear();
+            seg.fill(&mut chunk, at, end);
+            for (op, carry) in ops.iter().zip(&mut carry) {
+                if chunk.is_empty() {
+                    break;
+                }
+                op.run(&mut chunk, carry, &seg.window, at);
+            }
+            if !chunk.is_empty() {
+                sink(&mut chunk);
+            }
+            at = end;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
     use super::*;
     use crate::optimize::{identity_plan, optimize};
     use crate::shape::ConsumerKind;
 
-    /// Reference evaluation by plain iterators.
-    fn reference(pipe: &Pipe<u64>) -> Vec<u64> {
-        let mut v: Vec<u64> = match &pipe.source {
-            SourceOp::Tabulate(n, f, _) => (0..*n).map(|i| f(i)).collect(),
-            SourceOp::FromVec(data) => data.as_ref().clone(),
+    /// Held by tests that force a block size or count closure calls:
+    /// the block-size override is process-global.
+    static GEOMETRY: Mutex<()> = Mutex::new(());
+
+    /// A stage with a plain closure, so one list builds both a [`Pipe`]
+    /// and its plain-iterator reference. Scans start from 0, which
+    /// every combiner used here has as its identity.
+    #[derive(Clone, Copy)]
+    enum S {
+        Map(fn(u64) -> u64),
+        MapIdx(fn(usize, u64) -> u64),
+        Filter(fn(&u64) -> bool),
+        FilterMap(fn(u64) -> Option<u64>),
+        Scan(fn(u64, u64) -> u64),
+        ScanIncl(fn(u64, u64) -> u64),
+        Take(usize),
+        Skip(usize),
+        Rev,
+    }
+
+    fn tab(i: usize) -> u64 {
+        (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40
+    }
+
+    /// A pipeline over `0..n` through `tab`, tabulated or materialised.
+    fn pipe(n: usize, from_vec: bool, stages: &[S]) -> Pipe<u64> {
+        let mut p = if from_vec {
+            Pipe::from_vec((0..n).map(tab).collect())
+        } else {
+            Pipe::tabulate(n, tab)
         };
-        for i in 0..pipe.stages.len() {
-            v = pipe.apply_stage_vec(v, i);
+        for s in stages {
+            p = match *s {
+                S::Map(f) => p.map(f),
+                S::MapIdx(f) => p.map_idx(f),
+                S::Filter(f) => p.filter(f),
+                S::FilterMap(f) => p.filter_map(f),
+                S::Scan(f) => p.scan(0, f),
+                S::ScanIncl(f) => p.scan_incl(0, f),
+                S::Take(k) => p.take(k),
+                S::Skip(k) => p.skip(k),
+                S::Rev => p.rev(),
+            };
+        }
+        p
+    }
+
+    /// Reference evaluation by plain iterators.
+    fn reference(n: usize, stages: &[S]) -> Vec<u64> {
+        let mut v: Vec<u64> = (0..n).map(tab).collect();
+        for s in stages {
+            v = match *s {
+                S::Map(f) => v.into_iter().map(f).collect(),
+                S::MapIdx(f) => v.into_iter().enumerate().map(|(i, x)| f(i, x)).collect(),
+                S::Filter(f) => v.into_iter().filter(f).collect(),
+                S::FilterMap(f) => v.into_iter().filter_map(f).collect(),
+                S::Scan(f) => v
+                    .into_iter()
+                    .scan(0, |acc, x| {
+                        let out = *acc;
+                        *acc = f(*acc, x);
+                        Some(out)
+                    })
+                    .collect(),
+                S::ScanIncl(f) => v
+                    .into_iter()
+                    .scan(0, |acc, x| {
+                        *acc = f(*acc, x);
+                        Some(*acc)
+                    })
+                    .collect(),
+                S::Take(k) => v.into_iter().take(k).collect(),
+                S::Skip(k) => v.into_iter().skip(k).collect(),
+                S::Rev => v.into_iter().rev().collect(),
+            };
         }
         v
     }
 
-    fn check_all_lowerings(pipe: Pipe<u64>) {
-        let expect = reference(&pipe);
-        let shape = pipe.shape(ConsumerKind::Collect);
-        for plan in [
-            optimize(shape.clone(), 4),
-            identity_plan(shape.clone(), ExecMode::Parallel),
-            identity_plan(shape, ExecMode::Sequential),
-        ] {
-            match pipe.execute(&plan, &ConsumerOp::Collect) {
-                Consumed::Vec(v) => assert_eq!(v, expect, "plan {plan:?} diverged"),
-                other => panic!("expected vec, got {other:?}"),
+    /// Run `p` under the optimized plan and the identity plan in both
+    /// modes, through every consumer, against `want`.
+    fn check(p: &Pipe<u64>, want: &[u64], what: &str) {
+        let consumers = [
+            (ConsumerKind::Collect, ConsumerOp::Collect),
+            (
+                ConsumerKind::Reduce,
+                ConsumerOp::Reduce(0, Arc::new(u64::wrapping_add), SIMPLE),
+            ),
+            (
+                ConsumerKind::Count,
+                ConsumerOp::Count(Arc::new(|x: &u64| x.is_multiple_of(3)), SIMPLE),
+            ),
+        ];
+        for (kind, consumer) in &consumers {
+            let expect = match consumer {
+                ConsumerOp::Collect => Consumed::Vec(want.to_vec()),
+                ConsumerOp::Reduce(..) => {
+                    Consumed::Scalar(want.iter().fold(0u64, |a, &b| a.wrapping_add(b)))
+                }
+                ConsumerOp::Count(..) => {
+                    Consumed::Num(want.iter().filter(|&&x| x % 3 == 0).count())
+                }
+            };
+            let shape = p.shape(*kind);
+            for plan in [
+                optimize(shape.clone(), 4),
+                identity_plan(shape.clone(), ExecMode::Parallel),
+                identity_plan(shape.clone(), ExecMode::Sequential),
+            ] {
+                assert_eq!(
+                    p.execute(&plan, consumer),
+                    expect,
+                    "{what}: {kind:?} under {:?} {:?}",
+                    plan.mode,
+                    plan.steps
+                );
+            }
+        }
+    }
+
+    fn check_all(n: usize, stages: &[S], what: &str) {
+        let want = reference(n, stages);
+        for from_vec in [false, true] {
+            check(&pipe(n, from_vec, stages), &want, what);
+        }
+    }
+
+    #[test]
+    fn chunk_seams_blocks_and_modes_match_the_reference() {
+        let _g = GEOMETRY.lock().unwrap_or_else(|e| e.into_inner());
+        for n in [0, 1, 1023, 1024, 1025, 3 * 1024 + 17] {
+            let shapes: [(&str, Vec<S>); 4] = [
+                (
+                    "leading gather",
+                    vec![
+                        S::Skip(3),
+                        S::Rev,
+                        S::Take(n * 2 / 3),
+                        S::MapIdx(|i, x| x ^ i as u64),
+                        S::Map(|x| x * 5),
+                        S::Filter(|x| x % 2 == 0),
+                    ],
+                ),
+                (
+                    "scan after filter",
+                    vec![
+                        S::Map(|x| x % 1000),
+                        S::Filter(|x| x % 3 != 0),
+                        S::Scan(u64::wrapping_add),
+                        S::Map(|x| x / 2),
+                        S::ScanIncl(u64::max),
+                    ],
+                ),
+                (
+                    "map_idx after filter",
+                    vec![
+                        S::FilterMap(|x| (x % 5 != 0).then_some(x + 1)),
+                        S::MapIdx(|i, x| x.wrapping_mul(i as u64 + 1)),
+                        S::Filter(|x| x % 7 != 0),
+                        S::MapIdx(|i, x| x ^ (i as u64) << 3),
+                    ],
+                ),
+                (
+                    "cut after filter",
+                    vec![
+                        S::Filter(|x| x % 4 != 1),
+                        S::MapIdx(|i, x| x + i as u64),
+                        S::Take(n / 2 + 1),
+                        S::Rev,
+                        S::MapIdx(|i, x| x ^ i as u64),
+                        S::Skip(2),
+                        S::Scan(u64::wrapping_add),
+                    ],
+                ),
+            ];
+            for (name, stages) in &shapes {
+                for bs in [None, Some(7), Some(1000)] {
+                    let _bs = bs.map(bds_seq::force_block_size);
+                    check_all(n, stages, &format!("{name}, n={n}, bs={bs:?}"));
+                }
             }
         }
     }
 
     #[test]
     fn gather_composition_matches_stage_by_stage_cuts() {
-        let n = 100;
-        let cut_chains: Vec<Vec<StageOp<u64>>> = vec![
-            vec![StageOp::Rev, StageOp::Take(3)],
-            vec![StageOp::Skip(2), StageOp::Rev],
-            vec![StageOp::Take(50), StageOp::Skip(20), StageOp::Rev],
-            vec![StageOp::Rev, StageOp::Rev],
-            vec![StageOp::Skip(30), StageOp::Take(40), StageOp::Rev, StageOp::Skip(5)],
-            vec![StageOp::Take(0), StageOp::Rev],
-            vec![StageOp::Take(200), StageOp::Skip(200)],
-            vec![StageOp::Rev, StageOp::Skip(97), StageOp::Take(99)],
+        let cut_chains: Vec<Vec<S>> = vec![
+            vec![S::Rev, S::Take(3)],
+            vec![S::Skip(2), S::Rev],
+            vec![S::Take(50), S::Skip(20), S::Rev],
+            vec![S::Rev, S::Rev],
+            vec![S::Skip(30), S::Take(40), S::Rev, S::Skip(5)],
+            vec![S::Take(0), S::Rev],
+            vec![S::Take(200), S::Skip(200)],
+            vec![S::Rev, S::Skip(97), S::Take(99)],
         ];
         for chain in cut_chains {
-            let mut pipe = Pipe::tabulate(n, |i| i as u64).map(|x| x * 7);
-            pipe.stages.extend(chain);
-            check_all_lowerings(pipe);
+            // A map_idx ahead of the cuts sees the source's indices,
+            // which a reversing cut walks backwards.
+            let mut stages = vec![S::MapIdx(|i, x| x * 7 + i as u64)];
+            stages.extend(chain);
+            check_all(100, &stages, "cut chain");
         }
     }
 
     #[test]
     fn fused_runs_match_stage_by_stage_lowering() {
-        let pipe = Pipe::tabulate(1000, |i| i as u64)
-            .map(|x| x * 3)
-            .filter(|&x| x % 2 == 0)
-            .filter_map(|x| (x % 5 != 0).then_some(x + 1))
-            .map(|x| x / 2);
-        let shape = pipe.shape(ConsumerKind::Collect);
-        let plan = optimize(shape, 4);
+        let stages = [
+            S::Map(|x| x * 3),
+            S::Filter(|x| x % 2 == 0),
+            S::FilterMap(|x| (x % 5 != 0).then_some(x + 1)),
+            S::Map(|x| x / 2),
+        ];
+        let p = pipe(1000, false, &stages);
+        let plan = optimize(p.shape(ConsumerKind::Collect), 4);
         assert!(
             plan.steps
                 .iter()
@@ -442,39 +740,92 @@ mod tests {
             "expected a fused run in {:?}",
             plan.steps
         );
-        check_all_lowerings(pipe);
+        check_all(1000, &stages, "fused run");
     }
 
     #[test]
     fn mixed_pipelines_agree_across_all_plans() {
-        let pipe = Pipe::from_vec((0..512u64).map(|x| x * x % 97).collect())
-            .map_idx(|i, x| x + i as u64)
-            .scan(0, |a, b| a + b)
-            .take(300)
-            .rev()
-            .skip(10)
-            .filter(|&x| x % 2 == 0)
-            .map(|x| x + 1)
-            .scan_incl(0, |a, b| a.wrapping_add(b));
-        check_all_lowerings(pipe);
+        check_all(
+            512,
+            &[
+                S::MapIdx(|i, x| x + i as u64),
+                S::Scan(u64::wrapping_add),
+                S::Take(300),
+                S::Rev,
+                S::Skip(10),
+                S::Filter(|x| x % 2 == 0),
+                S::Map(|x| x + 1),
+                S::ScanIncl(u64::wrapping_add),
+            ],
+            "mixed",
+        );
     }
 
     #[test]
-    fn consumers_agree_across_modes() {
-        let pipe = Pipe::tabulate(2048, |i| i as u64).map(|x| x % 13);
-        let expect = reference(&pipe);
-        let reduce = ConsumerOp::Reduce(0, std::sync::Arc::new(|a: u64, b: u64| a + b), bds_cost::SIMPLE);
-        let count = ConsumerOp::Count(std::sync::Arc::new(|x: &u64| *x > 6), bds_cost::SIMPLE);
+    fn cuts_on_the_random_access_prefix_demand_only_their_window() {
+        let _g = GEOMETRY.lock().unwrap_or_else(|e| e.into_inner());
+        let calls = Arc::new(AtomicUsize::new(0));
+        let c = calls.clone();
+        let p = Pipe::tabulate(10_000, |i| i as u64)
+            .map(move |x| {
+                c.fetch_add(1, Ordering::Relaxed);
+                x
+            })
+            .rev()
+            .skip(100)
+            .take(50);
         for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let plan = identity_plan(pipe.shape(ConsumerKind::Reduce), mode);
-            assert_eq!(
-                pipe.execute(&plan, &reduce),
-                Consumed::Scalar(expect.iter().sum::<u64>())
-            );
-            let plan = identity_plan(pipe.shape(ConsumerKind::Count), mode);
-            assert_eq!(
-                pipe.execute(&plan, &count),
-                Consumed::Num(expect.iter().filter(|&&x| x > 6).count())
+            calls.store(0, Ordering::Relaxed);
+            let plan = identity_plan(p.shape(ConsumerKind::Collect), mode);
+            let want: Vec<u64> = (9850..9900).rev().collect();
+            assert_eq!(p.execute(&plan, &ConsumerOp::Collect), Consumed::Vec(want));
+            assert_eq!(calls.load(Ordering::Relaxed), 50, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn collects_charge_the_memory_budget_before_allocating() {
+        for stages in [vec![S::Map(|x| x + 1)], vec![S::Filter(|x| x % 2 == 0)]] {
+            let p = pipe(100_000, false, &stages);
+            for mode in [ExecMode::Parallel, ExecMode::Sequential] {
+                let plan = identity_plan(p.shape(ConsumerKind::Collect), mode);
+                let tight = bds_pool::Budget::unlimited().with_mem_bytes(1024);
+                let r = bds_pool::run_governed(tight, || p.execute(&plan, &ConsumerOp::Collect));
+                assert_eq!(r, Err(bds_pool::Exceeded::Memory), "{mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_modes_abandon_a_cancelled_run_within_one_chunk() {
+        let _g = GEOMETRY.lock().unwrap_or_else(|e| e.into_inner());
+        let calls = Arc::new(AtomicUsize::new(0));
+        let c = calls.clone();
+        let p = Pipe::tabulate(1 << 16, move |i| {
+            if c.fetch_add(1, Ordering::Relaxed) == 0 {
+                bds_pool::cancel::current_token()
+                    .expect("the run has an ambient token")
+                    .cancel();
+            }
+            i as u64
+        });
+        // One worker: blocks run one after another, so only the block
+        // that cancelled can be mid-chunk when the token trips.
+        let pool = bds_pool::Pool::new(1);
+        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
+            calls.store(0, Ordering::Relaxed);
+            let token = bds_pool::CancelToken::new();
+            let plan = identity_plan(p.shape(ConsumerKind::Collect), mode);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.install(|| {
+                    bds_pool::with_token(&token, || p.execute(&plan, &ConsumerOp::Collect))
+                })
+            }));
+            assert!(run.is_err(), "{mode:?}: a cancelled run must be abandoned");
+            let made = calls.load(Ordering::Relaxed);
+            assert!(
+                made <= CHUNK,
+                "{mode:?}: {made} source calls after cancelling at the first"
             );
         }
     }

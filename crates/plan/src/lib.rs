@@ -21,26 +21,35 @@
 //!   single force and *one* composed cut.
 //! * **Filter–map fusion** — a maximal run of adjacent
 //!   `map`/`filter`/`filter_map` stages containing at least one
-//!   filter-kind stage is fused into a single `filter_op` pass, so the
-//!   intermediate stream between them is never materialised. The fused
-//!   closure applies exactly the same element operations in exactly the
-//!   same order as the unfused stages, which keeps the rewrite legal
-//!   under fault injection (see `bds-check`).
+//!   filter-kind stage is marked as one fused pass. The executor runs
+//!   every stage this way — back to back over each chunk, never
+//!   materialising the stream between them — so the step records the
+//!   optimizer's decision rather than changing execution.
 //! * **Lowering choice** — the plan consults
 //!   [`bds_cost::geometry::solve`] once for the whole pipeline: shapes
-//!   whose geometry collapses to a single block run eagerly in the
-//!   caller ([`ExecMode::Sequential`]), everything else lowers onto the
-//!   delayed representations ([`ExecMode::Parallel`]). Sequential mode
-//!   is only ever chosen for cut-free shapes so that the demand
+//!   whose geometry collapses to a single block run as one block in the
+//!   caller ([`ExecMode::Sequential`]), everything else runs under the
+//!   solved geometry on the pool ([`ExecMode::Parallel`]). Sequential
+//!   mode is only ever chosen for cut-free shapes so that the demand
 //!   semantics of index-space ops (DESIGN.md, "Failure semantics") are
 //!   preserved bit-for-bit.
+//!
+//! ## Execution
+//!
+//! [`Pipe::execute`] is one block interpreter. Each builder method
+//! wraps its closure, while its concrete type is still known, in a
+//! kernel over a chunk of up to 1024 elements; a block fills a chunk
+//! from the source, runs every stage's kernel over it, and hands it to
+//! the consumer. A stage costs one virtual call per chunk, not one per
+//! element, and the blocks run through the chunked drive loops of
+//! [`bds_seq::stream`].
 //!
 //! ## What is shared and what is not
 //!
 //! A cached [`Plan`] holds stage *indices* and a mode — never closures.
-//! [`Pipe::execute`] instantiates fresh fused closures from its own
-//! stage list on every run, so two pipelines sharing a plan can never
-//! observe each other's captures.
+//! [`Pipe::execute`] runs the pipe's own stage list on every call, so
+//! two pipelines sharing a plan can never observe each other's
+//! captures.
 //!
 //! ```
 //! use bds_plan::{ConsumerKind, Pipe, PlanCache};
@@ -59,6 +68,7 @@
 
 mod cache;
 mod exec;
+mod kernel;
 mod optimize;
 mod pipe;
 mod service;
@@ -66,6 +76,6 @@ mod shape;
 
 pub use cache::PlanCache;
 pub use optimize::{identity_plan, optimize, ExecMode, Plan, PlanStep};
-pub use pipe::{Consumed, ConsumerOp, Pipe, SourceOp, StageOp};
+pub use pipe::{Consumed, ConsumerOp, Pipe};
 pub use service::{submit_collect, submit_count, submit_reduce, TenantPlanner};
 pub use shape::{ConsumerKind, PlanShape, SourceKind, StageKey, StageKind};

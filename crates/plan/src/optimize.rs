@@ -17,14 +17,12 @@ use crate::shape::{PlanShape, StageKey, StageKind};
 /// How a plan's steps are lowered at execution time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Lower onto the delayed representations (`BoxRad`/`BoxSeq`) and
-    /// let block geometry parallelise consumption.
+    /// Run the blocks under the solved geometry on the pool.
     Parallel,
-    /// Run eagerly in the caller, one `Vec` pass per step. Chosen only
-    /// when the whole pipeline's geometry collapses to a single block
-    /// *and* the shape has no index-space stages (a cut's
-    /// demand-narrowing semantics must not silently become
-    /// evaluate-everything; see DESIGN.md).
+    /// Run as one block in the caller. Chosen only when the whole
+    /// pipeline's geometry collapses to a single block *and* the shape
+    /// has no index-space stages (a cut's demand-narrowing semantics
+    /// must not silently become evaluate-everything; see DESIGN.md).
     Sequential,
 }
 
@@ -35,7 +33,8 @@ pub enum PlanStep {
     /// Run the original stage as written.
     Stage(usize),
     /// Adjacent `map`/`filter`/`filter_map` stages fused into one
-    /// `filter_op` pass; indices in pipeline order.
+    /// pass; indices in pipeline order. The executor runs them back to
+    /// back over each chunk, as it runs every stage.
     FusedFilterMap(Vec<usize>),
     /// Adjacent `take`/`skip`/`rev` stages collapsed into one composed
     /// `(offset, len, reversed)` index gather; indices in pipeline
@@ -142,6 +141,8 @@ fn rewrite_steps(keys: &[StageKey]) -> Vec<PlanStep> {
 /// pass drops elements before later stages would have paid for them) or
 /// when the run is all filter-kind stages; it loses when a cheap run of
 /// maps hides behind an expensive filter, so we gate on cost classes.
+/// (The chunk interpreter in `exec` runs fused and unfused runs the
+/// same way; the gate only decides how the plan records the run.)
 fn fusion_pays(run: &[StageKey]) -> bool {
     let min_filter = run
         .iter()

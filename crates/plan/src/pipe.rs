@@ -1,10 +1,11 @@
 //! The erased pipeline builder.
 //!
-//! A [`Pipe`] records a source and a stage list as data — `Arc`'d
-//! closures tagged with [`ElemCost`] annotations — without lowering
-//! anything. Lowering happens later, in [`Pipe::execute`], steered by a
-//! [`Plan`](crate::Plan) the optimizer produced from the pipe's
-//! [`shape`](Pipe::shape).
+//! A [`Pipe`] records a source and a stage list as data — each closure
+//! wrapped by its builder method into a typed chunk kernel (see
+//! [`crate::kernel`]) and tagged with an [`ElemCost`] annotation —
+//! without running anything. Execution happens later, in
+//! [`Pipe::execute`], steered by a [`Plan`](crate::Plan) the optimizer
+//! produced from the pipe's [`shape`](Pipe::shape).
 //!
 //! Stages are homogeneous (`T -> T`): the plan cache keys on shape, and
 //! letting each stage change the element type would push type identity
@@ -16,38 +17,36 @@ use std::sync::Arc;
 
 use bds_cost::{ElemCost, SIMPLE};
 
+use crate::kernel::{self, ChunkFn, FillFn, IndexedFn, ScanFn};
 use crate::shape::{cost_class, ConsumerKind, PlanShape, SourceKind, StageKey, StageKind};
 
-/// Type-erased closure aliases, shared by the builder and the executor.
-pub(crate) type MapFn<T> = Arc<dyn Fn(T) -> T + Send + Sync>;
-pub(crate) type MapIdxFn<T> = Arc<dyn Fn(usize, T) -> T + Send + Sync>;
+/// Type-erased consumer closures.
 pub(crate) type PredFn<T> = Arc<dyn Fn(&T) -> bool + Send + Sync>;
-pub(crate) type FilterMapFn<T> = Arc<dyn Fn(T) -> Option<T> + Send + Sync>;
 pub(crate) type CombineFn<T> = Arc<dyn Fn(T, T) -> T + Send + Sync>;
-pub(crate) type TabFn<T> = Arc<dyn Fn(usize) -> T + Send + Sync>;
 
 /// A pipeline source, captured as data.
-pub enum SourceOp<T> {
+pub(crate) enum SourceOp<T> {
     /// `tabulate(n, f)` with a per-element cost annotation.
-    Tabulate(usize, TabFn<T>, ElemCost),
-    /// Pre-materialised input, shared by reference between clones.
+    Tabulate(usize, FillFn<T>, ElemCost),
+    /// Pre-materialised input, shared by reference between clones and
+    /// runs.
     FromVec(Arc<Vec<T>>),
 }
 
 /// A pipeline stage, captured as data.
-pub enum StageOp<T> {
+pub(crate) enum StageOp<T> {
     /// Element-wise transform.
-    Map(MapFn<T>, ElemCost),
+    Map(ChunkFn<T>, ElemCost),
     /// Element-wise transform that also receives the element's index.
-    MapIdx(MapIdxFn<T>, ElemCost),
+    MapIdx(IndexedFn<T>, ElemCost),
     /// Keep elements satisfying the predicate.
-    Filter(PredFn<T>, ElemCost),
+    Filter(ChunkFn<T>, ElemCost),
     /// Combined transform-and-keep.
-    FilterMap(FilterMapFn<T>, ElemCost),
+    FilterMap(ChunkFn<T>, ElemCost),
     /// Exclusive prefix combine from the given identity.
-    Scan(T, CombineFn<T>, ElemCost),
+    Scan(T, ScanFn<T>, ElemCost),
     /// Inclusive prefix combine from the given identity.
-    ScanIncl(T, CombineFn<T>, ElemCost),
+    ScanIncl(T, ScanFn<T>, ElemCost),
     /// Keep the first `k` elements.
     Take(usize),
     /// Drop the first `k` elements.
@@ -156,7 +155,7 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
         cost: ElemCost,
     ) -> Pipe<T> {
         Pipe {
-            source: SourceOp::Tabulate(n, Arc::new(f), cost),
+            source: SourceOp::Tabulate(n, kernel::tabulate(f), cost),
             stages: Vec::new(),
         }
     }
@@ -180,7 +179,7 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
         f: impl Fn(T) -> T + Send + Sync + 'static,
         cost: ElemCost,
     ) -> Pipe<T> {
-        self.stages.push(StageOp::Map(Arc::new(f), cost));
+        self.stages.push(StageOp::Map(kernel::map(f), cost));
         self
     }
 
@@ -195,7 +194,7 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
         f: impl Fn(usize, T) -> T + Send + Sync + 'static,
         cost: ElemCost,
     ) -> Pipe<T> {
-        self.stages.push(StageOp::MapIdx(Arc::new(f), cost));
+        self.stages.push(StageOp::MapIdx(kernel::map_idx(f), cost));
         self
     }
 
@@ -210,7 +209,7 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
         pred: impl Fn(&T) -> bool + Send + Sync + 'static,
         cost: ElemCost,
     ) -> Pipe<T> {
-        self.stages.push(StageOp::Filter(Arc::new(pred), cost));
+        self.stages.push(StageOp::Filter(kernel::filter(pred), cost));
         self
     }
 
@@ -225,7 +224,7 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
         f: impl Fn(T) -> Option<T> + Send + Sync + 'static,
         cost: ElemCost,
     ) -> Pipe<T> {
-        self.stages.push(StageOp::FilterMap(Arc::new(f), cost));
+        self.stages.push(StageOp::FilterMap(kernel::filter_map(f), cost));
         self
     }
 
@@ -233,14 +232,14 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
     /// identity, and the combiner associative, as everywhere in this
     /// workspace).
     pub fn scan(mut self, zero: T, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Pipe<T> {
-        self.stages.push(StageOp::Scan(zero, Arc::new(f), SIMPLE));
+        self.stages.push(StageOp::Scan(zero, kernel::scan(f), SIMPLE));
         self
     }
 
     /// Append an inclusive prefix combine.
     pub fn scan_incl(mut self, zero: T, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Pipe<T> {
         self.stages
-            .push(StageOp::ScanIncl(zero, Arc::new(f), SIMPLE));
+            .push(StageOp::ScanIncl(zero, kernel::scan(f), SIMPLE));
         self
     }
 

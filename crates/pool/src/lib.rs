@@ -254,11 +254,20 @@ impl Pool {
     /// Jobs still queued when the pool is dropped are run (degraded,
     /// sequentially) on the dropping thread, so a spawned job is never
     /// silently lost; panics from such teardown runs are swallowed.
+    ///
+    /// `f` starts with no ambient cancellation token, wherever it runs.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'static,
     {
-        let job = HeapJob::new(f);
+        let job = HeapJob::new(move || {
+            // A spawned job is a root of its own. A worker waiting on a
+            // join latch may run it nested inside another job, whose
+            // token (and with it a budget or retry context) must not
+            // leak into it.
+            let _root = cancel::install(None);
+            f()
+        });
         // SAFETY: the injected JobRef is executed exactly once — by a
         // worker, or by `Pool::drop`'s teardown drain after every worker
         // has exited.

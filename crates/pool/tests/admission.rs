@@ -267,3 +267,56 @@ fn spawned_jobs_left_at_drop_still_run() {
     }
     assert_eq!(ran.load(Ordering::SeqCst), 1);
 }
+
+/// A worker waiting on a join latch helps by running other work, which
+/// includes jobs spawned into the injector. A spawned job is a root of
+/// its own: it must not run under the ambient token of the job it
+/// happens to be nested in, or that job's deadline (or failure) would
+/// cancel it too, and it would inherit that job's budget and retry
+/// context.
+#[test]
+fn spawned_jobs_never_inherit_a_helping_workers_token() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !flag.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "the other half never ran");
+            std::hint::spin_loop();
+        }
+    }
+
+    let pool = Pool::new(2);
+    let token = bds_pool::CancelToken::new();
+    let stolen = AtomicBool::new(false);
+    let ran = Arc::new(AtomicBool::new(false));
+    let inherited = Arc::new(AtomicBool::new(false));
+    pool.install(|| {
+        bds_pool::with_token(&token, || {
+            bds_pool::apply(2, |j| {
+                if j == 0 {
+                    // Block 1 now occupies the other worker, so only this
+                    // worker, waiting for block 1, can run the spawn.
+                    wait_for(&stolen);
+                    let (ran, inherited) = (Arc::clone(&ran), Arc::clone(&inherited));
+                    pool.spawn(move || {
+                        inherited.store(
+                            bds_pool::cancel::current_token().is_some(),
+                            Ordering::SeqCst,
+                        );
+                        ran.store(true, Ordering::SeqCst);
+                    });
+                } else {
+                    stolen.store(true, Ordering::SeqCst);
+                    wait_for(&ran);
+                }
+            })
+        })
+    });
+    assert!(ran.load(Ordering::SeqCst));
+    assert!(
+        !inherited.load(Ordering::SeqCst),
+        "a spawned job ran under the token of the job it was nested in"
+    );
+}

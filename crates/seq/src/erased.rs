@@ -30,11 +30,13 @@
 //! pipelines — the erased leg runs the *identical* drive loop, only
 //! the block streams are boxed.
 //!
-//! The price is one boxed-iterator virtual call per block (not per
-//! element for the block body: the inner iterator still runs fused
-//! inside the box) plus an allocation per block stream. For
-//! correctness harnesses that is irrelevant; for performance-critical
-//! code, keep the static types.
+//! The price is one virtual `next` call per element per erased layer —
+//! a block stream is a boxed iterator, and every element crosses the
+//! box — plus an allocation per block stream. Stacking `k` `BoxSeq`
+//! layers costs `k` virtual calls per element. For correctness
+//! harnesses that is irrelevant; for performance-critical code, keep
+//! the static types, or run whole chunks per virtual call as
+//! [`ChunkedStream`](crate::stream::ChunkedStream) interpreters do.
 //!
 //! # Examples
 //!

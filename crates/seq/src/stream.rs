@@ -57,6 +57,19 @@
 //! never two — which `tests/stream_parity.rs` pins down by comparing
 //! [`bds_pool::ticker_polls`] counts across instantiations.
 //!
+//! # Chunked streams
+//!
+//! An interpreter whose stages are erased (`bds-plan` runs pipelines
+//! assembled at runtime) cannot afford an element iterator: every
+//! stage would cost a virtual call per element. A [`ChunkedStream`]
+//! instead produces each block a [`simd::CHUNK`] at a time, and its blocks
+//! may come up short when a stage inside them drops elements. The
+//! chunked drive loops ([`reduce_chunked`], [`count_chunked`],
+//! [`to_vec_chunked`], [`block_folds`]) run the same per-block
+//! protocol over the same block loops; the stream ticks its ticker
+//! once per chunk (`tick_n`), which polls at the same element counts as
+//! one tick per element.
+//!
 //! SIMD chunk dispatch lives in the chunked drivers ([`try_sum_chunked`]):
 //! they regroup block streams into [`crate::simd::CHUNK`]-element
 //! chunks, poll the fault injector once per chunk, and hand each chunk
@@ -73,7 +86,7 @@ use crate::profile::{self, Stage};
 use crate::simd::{self, Interrupted, SimdElem};
 use crate::sources::Forced;
 use crate::traits::Seq;
-use crate::util::{build_vec, charge_elems, scan_sequential, PartialVec};
+use crate::util::{build_vec, charge_elems, scan_sequential, BlockWriter, PartialVec};
 
 // ---------------------------------------------------------------------
 // The indexed-stream contract
@@ -166,6 +179,15 @@ pub struct Geometry {
 }
 
 impl Geometry {
+    /// The geometry of `len` elements in blocks of `bs`.
+    pub fn new(len: usize, bs: usize) -> Geometry {
+        Geometry {
+            len,
+            bs,
+            nb: policy::ceil_div(len, bs),
+        }
+    }
+
     /// Bounds `(lo, hi)` of block `j` in the element index space.
     #[inline]
     pub fn block_bounds(&self, j: usize) -> (usize, usize) {
@@ -178,13 +200,7 @@ impl Geometry {
 /// per-element cost, then derive the block count from the pinned
 /// answer.
 pub fn pin_geometry<S: IndexedStream + ?Sized>(s: &S, downstream: ElemCost) -> Geometry {
-    let len = s.len();
-    let bs = s.resolve_block_size(downstream);
-    Geometry {
-        len,
-        bs,
-        nb: policy::ceil_div(len, bs),
-    }
+    Geometry::new(s.len(), s.resolve_block_size(downstream))
 }
 
 #[inline]
@@ -222,13 +238,23 @@ where
     T: Send,
     F: Fn(usize, S::Block<'_>) -> T + Send + Sync,
 {
+    blockwise(g, |j| f(j, s.stream_block(j)))
+}
+
+/// The block loop under [`per_block`]: run `body(j)` for every block
+/// and collect the results positionally.
+fn blockwise<T, F>(g: Geometry, body: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     build_vec(g.nb, |pv| {
         bds_pool::apply(g.nb, |j| {
-            // Pure block write: the push happens only after `f`
-            // succeeds, so a retried attempt (transient fault mid-`f`)
+            // Pure block write: the push happens only after `body`
+            // succeeds, so a retried attempt (transient fault mid-block)
             // re-streams the block into the still-empty slot.
             bds_pool::recover_block(j, || {
-                pv.writer(j).push(f(j, s.stream_block(j)));
+                pv.writer(j).push(body(j));
             });
         });
     })
@@ -256,12 +282,28 @@ where
     Ok(pv.finish())
 }
 
-/// Materialize: every block streams its elements straight into its slot
-/// of one fresh (budget-charged) buffer. The asserts turn a broken
-/// block-length invariant into a panic instead of an unsound write.
-fn materialize<S>(s: &S, g: Geometry) -> Vec<S::Item>
+/// Block `j`'s region of a materialization: a writer that refuses to
+/// run past the block's end.
+struct Region<'p, T: Send> {
+    w: BlockWriter<'p, T>,
+    room: usize,
+}
+
+impl<T: Send> Region<'_, T> {
+    #[inline]
+    fn push(&mut self, x: T) {
+        assert!(self.w.count() < self.room, "Seq invariant violated: block overflow");
+        self.w.push(x);
+    }
+}
+
+/// Materialize: every block `fill`s its slot of one fresh
+/// (budget-charged) buffer. The asserts turn a broken block-length
+/// invariant into a panic instead of an unsound write.
+fn materialize<T, F>(g: Geometry, fill: F) -> Vec<T>
 where
-    S: IndexedStream + ?Sized,
+    T: Send,
+    F: Fn(usize, &mut Region<'_, T>) + Sync,
 {
     build_vec(g.len, |pv| {
         bds_pool::apply(g.nb, |j| {
@@ -270,12 +312,12 @@ where
             // re-streams the whole block into its untouched region.
             bds_pool::recover_block(j, || {
                 let (lo, hi) = g.block_bounds(j);
-                let mut w = pv.writer(lo);
-                for x in s.stream_block(j) {
-                    assert!(lo + w.count() < hi, "Seq invariant violated: block overflow");
-                    w.push(x);
-                }
-                assert_eq!(lo + w.count(), hi, "Seq invariant violated: block underflow");
+                let mut r = Region {
+                    w: pv.writer(lo),
+                    room: hi - lo,
+                };
+                fill(j, &mut r);
+                assert_eq!(r.w.count(), r.room, "Seq invariant violated: block underflow");
             });
         });
     })
@@ -379,7 +421,11 @@ where
     if g.len > 0 {
         record(Stage::Force, g);
     }
-    materialize(s, g)
+    materialize(g, |j, r| {
+        for x in s.stream_block(j) {
+            r.push(x);
+        }
+    })
 }
 
 /// Count the elements satisfying `pred`, two-phase like [`reduce`].
@@ -582,6 +628,175 @@ where
 }
 
 // ---------------------------------------------------------------------
+// Chunked streams
+// ---------------------------------------------------------------------
+
+/// A block-granular stream that produces each block a chunk at a time.
+///
+/// Geometry works as for [`IndexedStream`]: block `j` covers
+/// `g.block_bounds(j)` of an index space of [`len`](Self::len)
+/// positions, and [`resolve_block_size`](Self::resolve_block_size) is
+/// pinned on first call, so every pass over the stream sees the same
+/// block seams. Unlike an `IndexedStream`, a block may yield *fewer*
+/// elements than its range when a stage inside it drops elements;
+/// [`exact`](Self::exact) says whether that can happen. Each block
+/// ticks its own [`bds_pool::PollTicker`] once per chunk.
+pub trait ChunkedStream: Sync {
+    /// Element type.
+    type Item: Send;
+
+    /// Size of the index space the blocks partition: the element count
+    /// when [`exact`](Self::exact), an upper bound otherwise.
+    fn len(&self) -> usize;
+
+    /// True when the index space is empty.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether every block yields exactly its index range.
+    fn exact(&self) -> bool;
+
+    /// Resolve — and pin — the block size; see
+    /// [`IndexedStream::resolve_block_size`].
+    fn resolve_block_size(&self, downstream: ElemCost) -> usize;
+
+    /// Stream block `j` of `g` into `sink`, in order, in chunks of at
+    /// most [`simd::CHUNK`] elements. The sink may drain the chunk; the
+    /// stream clears it before refilling.
+    fn stream_chunks<F: FnMut(&mut Vec<Self::Item>)>(&self, g: Geometry, j: usize, sink: F);
+}
+
+fn pin_chunked<S: ChunkedStream + ?Sized>(s: &S, downstream: ElemCost) -> Geometry {
+    Geometry::new(s.len(), s.resolve_block_size(downstream))
+}
+
+/// Fold each block's chunks into one value per block.
+fn fold_blocks<S, A, F>(s: &S, g: Geometry, fold: &F) -> Vec<A>
+where
+    S: ChunkedStream + ?Sized,
+    A: Default + Send,
+    F: Fn(&mut A, &mut Vec<S::Item>) + Sync,
+{
+    blockwise(g, |j| {
+        let mut acc = A::default();
+        s.stream_chunks(g, j, |chunk| fold(&mut acc, chunk));
+        acc
+    })
+}
+
+/// Per-block folds of a chunked stream: the eager pass that seeds a
+/// scan's phase 3 (block sums) or a position-aware stage after a
+/// filter (survivor counts). `fold` sees every chunk of block `j`, in
+/// order, starting from `A::default()`.
+pub fn block_folds<S, A, F>(s: &S, fold: &F) -> Vec<A>
+where
+    S: ChunkedStream + ?Sized,
+    A: Default + Send,
+    F: Fn(&mut A, &mut Vec<S::Item>) + Sync,
+{
+    let g = pin_chunked(s, SIMPLE);
+    if g.nb == 0 {
+        return Vec::new();
+    }
+    let _span = profile::span(Stage::ScanEager);
+    record(Stage::ScanEager, g);
+    let folds = fold_blocks(s, g, fold);
+    counters::count_reads(g.nb);
+    folds
+}
+
+/// [`reduce`] over a chunked stream. A block whose elements were all
+/// dropped contributes nothing; the rest fold exactly as in `reduce`.
+pub fn reduce_chunked<S, F>(s: &S, zero: S::Item, combine: &F) -> S::Item
+where
+    S: ChunkedStream + ?Sized,
+    F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
+{
+    if s.is_empty() {
+        return zero;
+    }
+    let _span = profile::span(Stage::Reduce);
+    let g = pin_chunked(s, SIMPLE);
+    record(Stage::Reduce, g);
+    let sums = fold_blocks(
+        s,
+        g,
+        &|acc: &mut Option<S::Item>, chunk: &mut Vec<S::Item>| {
+            let mut xs = chunk.drain(..);
+            if let Some(first) = acc.take().or_else(|| xs.next()) {
+                *acc = Some(xs.fold(first, combine));
+            }
+        },
+    );
+    counters::count_reads(sums.len());
+    sums.into_iter().flatten().fold(zero, combine)
+}
+
+/// [`count`] over a chunked stream.
+pub fn count_chunked<S, P>(s: &S, pred: &P) -> usize
+where
+    S: ChunkedStream + ?Sized,
+    P: Fn(&S::Item) -> bool + Send + Sync,
+{
+    if s.is_empty() {
+        return 0;
+    }
+    let _span = profile::span(Stage::Count);
+    let g = pin_chunked(s, SIMPLE);
+    record(Stage::Count, g);
+    let counts = fold_blocks(s, g, &|n: &mut usize, chunk: &mut Vec<S::Item>| {
+        *n += chunk.iter().filter(|x| pred(x)).count();
+    });
+    counts.into_iter().sum()
+}
+
+/// [`to_vec`] over a chunked stream. Exact streams write every block
+/// straight into its slot of one buffer; short blocks are packed first
+/// (each chunk charged before it is kept, as [`filter_parts`] charges
+/// survivors), and several packed blocks are then concatenated into one
+/// charged buffer.
+pub fn to_vec_chunked<S>(s: &S) -> Vec<S::Item>
+where
+    S: ChunkedStream + ?Sized,
+{
+    let _span = profile::span(Stage::Force);
+    let g = pin_chunked(s, ElemCost { w: 1, s: 1, a: 1 });
+    if g.len > 0 {
+        record(Stage::Force, g);
+    }
+    if s.exact() {
+        return materialize(g, |j, r| {
+            s.stream_chunks(g, j, |chunk| {
+                for x in chunk.drain(..) {
+                    r.push(x);
+                }
+            })
+        });
+    }
+    let mut parts = fold_blocks(
+        s,
+        g,
+        &|kept: &mut Vec<S::Item>, chunk: &mut Vec<S::Item>| {
+            charge_elems::<S::Item>(chunk.len());
+            counters::count_writes(chunk.len());
+            counters::count_allocs(chunk.len());
+            kept.append(chunk);
+        },
+    );
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let total = parts.iter().map(Vec::len).sum();
+    build_vec(total, |pv| {
+        let mut w = pv.writer(0);
+        for x in parts.into_iter().flatten() {
+            w.push(x);
+        }
+    })
+}
+
+// ---------------------------------------------------------------------
 // Chunked SIMD drive loop
 // ---------------------------------------------------------------------
 
@@ -712,6 +927,72 @@ mod tests {
         assert_eq!(err, Err("hit"));
         let parts = try_filter_parts(&of_seq(&s), &|&x| Ok::<bool, ()>(x < 5)).unwrap();
         assert_eq!(parts.concat(), vec![0, 1, 2, 3, 4]);
+    }
+
+    /// `0..n` in blocks of `bs`, a chunk at a time; with `drop`, every
+    /// multiple of 3 is dropped inside its block.
+    struct Counting {
+        n: usize,
+        bs: usize,
+        drop: bool,
+    }
+
+    impl ChunkedStream for Counting {
+        type Item = u64;
+
+        fn len(&self) -> usize {
+            self.n
+        }
+
+        fn exact(&self) -> bool {
+            !self.drop
+        }
+
+        fn resolve_block_size(&self, _: ElemCost) -> usize {
+            self.bs
+        }
+
+        fn stream_chunks<F: FnMut(&mut Vec<u64>)>(&self, g: Geometry, j: usize, mut sink: F) {
+            let (lo, hi) = g.block_bounds(j);
+            let mut chunk = Vec::new();
+            for at in (lo..hi).step_by(simd::CHUNK) {
+                chunk.clear();
+                chunk.extend((at..(at + simd::CHUNK).min(hi)).map(|i| i as u64));
+                if self.drop {
+                    chunk.retain(|x| x % 3 != 0);
+                }
+                sink(&mut chunk);
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_drivers_match_iterators_across_seams() {
+        let _l = crate::policy::test_sync::test_lock();
+        for n in [0, 1, simd::CHUNK - 1, simd::CHUNK + 1, 2 * simd::CHUNK + 17] {
+            for bs in [700, n.max(1)] {
+                for drop in [false, true] {
+                    let s = Counting { n, bs, drop };
+                    let want: Vec<u64> = (0..n as u64).filter(|x| !drop || x % 3 != 0).collect();
+                    let what = format!("n={n} bs={bs} drop={drop}");
+                    assert_eq!(to_vec_chunked(&s), want, "{what}");
+                    assert_eq!(
+                        reduce_chunked(&s, 5, &|a, b| a + b),
+                        want.iter().fold(5, |a, b| a + b),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        count_chunked(&s, &|x| x % 2 == 0),
+                        want.iter().filter(|x| *x % 2 == 0).count(),
+                        "{what}"
+                    );
+                    let kept: Vec<usize> =
+                        block_folds(&s, &|k: &mut usize, c: &mut Vec<u64>| *k += c.len());
+                    assert_eq!(kept.len(), n.div_ceil(bs), "{what}");
+                    assert_eq!(kept.iter().sum::<usize>(), want.len(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -166,8 +166,12 @@ struct DispatchState {
     shutdown: bool,
 }
 
+/// The state a service shares with its dispatcher and with every
+/// request closure. It deliberately excludes the pool: a request
+/// closure can outlive the service's own handle on this state, and
+/// whoever drops the last owner of a pool joins its workers, which a
+/// pool worker cannot do to itself.
 struct Inner {
-    pool: Pool,
     cfg: ServiceConfig,
     state: Mutex<DispatchState>,
     /// Wakes the dispatcher: new submission, request completion,
@@ -267,7 +271,7 @@ fn pick(st: &mut DispatchState, quantum: u32) -> Option<Request> {
     None
 }
 
-fn dispatcher_main(inner: Arc<Inner>) {
+fn dispatcher_main(inner: Arc<Inner>, pool: Arc<Pool>) {
     let quantum = inner.cfg.quantum;
     let mut st = inner.state.lock();
     loop {
@@ -277,7 +281,7 @@ fn dispatcher_main(inner: Arc<Inner>) {
             // Pool-level admission first (the `try_admit` machinery):
             // a saturated pool refuses the reservation and the request
             // stays queued — backpressure, not shedding.
-            let Some(permit) = inner.pool.try_reserve() else {
+            let Some(permit) = pool.try_reserve() else {
                 break;
             };
             let Some(req) = pick(&mut st, quantum) else {
@@ -286,7 +290,7 @@ fn dispatcher_main(inner: Arc<Inner>) {
             };
             inner.queued.fetch_sub(1, Ordering::SeqCst);
             inner.inflight.fetch_add(1, Ordering::SeqCst);
-            inner.pool.spawn(move || {
+            pool.spawn(move || {
                 // The permit rides inside the job: pool admission is
                 // held for exactly the request's execution.
                 let _permit = permit;
@@ -336,6 +340,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// accepted ticket never dangles.
 pub struct Service {
     inner: Arc<Inner>,
+    /// Shared with the dispatcher thread only, which exits before
+    /// `drop` returns, so the pool is always torn down by the thread
+    /// that drops the service.
+    pool: Arc<Pool>,
     dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -358,9 +366,8 @@ impl Service {
         // The pool's strict CAS cap mirrors max_concurrent, so the
         // reservation the dispatcher takes per request is the same
         // admission the pool applies to blocking `install`s.
-        let pool = Pool::with_max_inflight(cfg.workers, cfg.max_concurrent);
+        let pool = Arc::new(Pool::with_max_inflight(cfg.workers, cfg.max_concurrent));
         let inner = Arc::new(Inner {
-            pool,
             cfg,
             state: Mutex::new(DispatchState {
                 tenants: Vec::new(),
@@ -374,13 +381,15 @@ impl Service {
         });
         let dispatcher = {
             let inner = Arc::clone(&inner);
+            let pool = Arc::clone(&pool);
             std::thread::Builder::new()
                 .name("bds-service-dispatch".into())
-                .spawn(move || dispatcher_main(inner))
+                .spawn(move || dispatcher_main(inner, pool))
                 .expect("failed to spawn service dispatcher")
         };
         Service {
             inner,
+            pool,
             dispatcher: Some(dispatcher),
         }
     }
@@ -408,7 +417,7 @@ impl Service {
             deficit: 0,
             queue: VecDeque::new(),
             breaker: Arc::new(Breaker::new(self.inner.cfg.breaker.clone())),
-            slot: self.inner.pool.tenant_slot(name),
+            slot: self.pool.tenant_slot(name),
             retry: None,
         });
         Tenant {
@@ -601,7 +610,7 @@ impl Service {
     /// counters, respawns, sheds, and the per-tenant counters this
     /// service maintains ([`PoolStats::tenants`]).
     pub fn stats(&self) -> PoolStats {
-        self.inner.pool.stats()
+        self.pool.stats()
     }
 
     /// The pool-registry counter slot for tenant `name` (registering it
@@ -610,7 +619,7 @@ impl Service {
     /// counters through this slot and they surface in
     /// [`PoolStats::tenants`] next to the admission ledger.
     pub fn tenant_slot(&self, name: &str) -> TenantSlot {
-        self.inner.pool.tenant_slot(name)
+        self.pool.tenant_slot(name)
     }
 
     /// Number of pool workers this service executes on (the configured
@@ -632,7 +641,7 @@ impl Service {
 
     /// Number of pool workers serving requests.
     pub fn num_workers(&self) -> usize {
-        self.inner.pool.num_threads()
+        self.pool.num_threads()
     }
 
     /// Fault-injection hook: crash pool worker `index` (it respawns;
@@ -644,7 +653,7 @@ impl Service {
     /// # Panics
     /// Panics if `index >= num_workers()`.
     pub fn inject_worker_crash(&self, index: usize) {
-        self.inner.pool.inject_worker_crash(index);
+        self.pool.inject_worker_crash(index);
     }
 }
 
@@ -657,7 +666,9 @@ impl Drop for Service {
         }
         // The dispatcher drains every queue and waits out every
         // in-flight request before exiting; joining it is what makes
-        // "an accepted ticket always resolves" hold across drop.
+        // "an accepted ticket always resolves" hold across drop. It
+        // also leaves `self.pool` as the pool's last owner, so the
+        // workers are joined here, after this body returns.
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }

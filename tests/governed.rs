@@ -40,6 +40,10 @@ fn quietly<R>(f: impl FnOnce() -> R) -> R {
 /// injector) is excluded by taking the baseline *before* `Pool::new` and
 /// measuring after the pool is dropped.
 fn warm_globals() {
+    // The test harness finishes the previous test (its thread exits, the
+    // main thread records and prints the result) while this one starts;
+    // those frees land in this test's window unless it waits them out.
+    std::thread::sleep(Duration::from_millis(50));
     let _ = bds_pool::run_governed(
         Budget::unlimited().with_deadline(Duration::from_secs(3600)),
         || tabulate(4096, |i| i as u64).reduce(0, |a, b| a + b),

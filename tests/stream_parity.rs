@@ -83,20 +83,32 @@ fn geometry_decision_log_identical_mono_vs_erased() {
         block_overhead_ns: 100.0,
     });
     let xs = seeded_input(50_000);
+    // The adaptive solver sizes blocks by the ambient pool's live
+    // workers. A seeded pool reports its full width whatever its
+    // workers are doing; an ordinary pool's gauge depends on timing.
+    let pool = bds_pool::Pool::new_seeded(2, SEED);
 
     let rec = bds_cost::record_geometry();
-    let mono_vec = pipe(&xs).to_vec();
-    let mono_red = pipe(&xs).reduce(0u64, |a, b| a ^ b);
-    let mono_kept = pipe(&xs).filter(|&v| v % 3 != 0).to_vec();
+    let (mono_vec, mono_red, mono_kept) = pool.install(|| {
+        (
+            pipe(&xs).to_vec(),
+            pipe(&xs).reduce(0u64, |a, b| a ^ b),
+            pipe(&xs).filter(|&v| v % 3 != 0).to_vec(),
+        )
+    });
     let mut mono_log = bds_cost::recorded_geometry();
     drop(rec);
 
     let rec = bds_cost::record_geometry();
-    let erased_vec = BoxSeq::new(pipe(&xs)).to_vec();
-    let erased_red = BoxSeq::new(pipe(&xs)).reduce(0u64, |a, b| a ^ b);
-    let erased_kept = BoxSeq::new(pipe(&xs))
-        .filter(|&v| v % 3 != 0)
-        .to_vec();
+    let (erased_vec, erased_red, erased_kept) = pool.install(|| {
+        (
+            BoxSeq::new(pipe(&xs)).to_vec(),
+            BoxSeq::new(pipe(&xs)).reduce(0u64, |a, b| a ^ b),
+            BoxSeq::new(pipe(&xs))
+                .filter(|&v| v % 3 != 0)
+                .to_vec(),
+        )
+    });
     let mut erased_log = bds_cost::recorded_geometry();
     drop(rec);
 
