@@ -16,8 +16,9 @@
 //!   layer so injected faults behave identically everywhere.
 //! - [`plan`]: a sixth and seventh lowering through the `bds-plan`
 //!   optimizer — the optimized plan (drawn from a shared shape-keyed
-//!   cache, so pipelines constantly *share* plans) and the un-rewritten
-//!   plan on the same executor. Disable with `--plan off`.
+//!   cache, so pipelines constantly *share* plans) and the identity
+//!   plan pinned to parallel mode on the same executor. Disable with
+//!   `--plan off`.
 //! - [`runner`]: the configuration matrix, divergence checker, greedy
 //!   shrinker, and deterministic replay/recording.
 //!

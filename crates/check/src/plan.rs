@@ -2,11 +2,11 @@
 //!
 //! Every checked pipeline is additionally lowered twice through the
 //! plan layer — once under the **optimized** plan a shared shape-keyed
-//! [`bds_plan::PlanCache`] hands out, and once under the un-rewritten
+//! [`bds_plan::PlanCache`] hands out, and once under
 //! [`bds_plan::identity_plan`] pinned to the parallel executor — and
 //! both must match the sequential oracle cell-for-cell, faults
 //! included. Because the cache is keyed on shape, pipelines in one fuzz
-//! run constantly *share* plans; any rewrite that were only accidentally
+//! run constantly *share* plans; a plan that were only accidentally
 //! correct for the pipeline that first populated the cache would be
 //! caught by the next same-shaped pipeline with different closures.
 //!

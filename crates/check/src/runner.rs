@@ -228,9 +228,8 @@ fn collect_outcomes(
         // Resolve the plans before borrowing the pool: "plan" comes
         // from the shared shape-keyed cache (the first leg optimizes,
         // later legs and later same-shaped pipelines share), "planraw"
-        // is the un-rewritten stage list pinned to the parallel
-        // executor so the plan machinery itself is checked without the
-        // optimizer's rewrites.
+        // is the identity plan pinned to the parallel executor, so the
+        // executor is checked whatever mode the optimizer picks.
         let plans = plan_case.as_ref().map(|case| {
             let shape = case.shape();
             let (optimized, _hit) = pools.plan_cache.plan(shape.clone(), threads);

@@ -344,7 +344,7 @@ mod tests {
         let mut straddled = 0;
         for len in 100..400usize {
             let plain = solve(len, heavy, 8, &cal);
-            if plain.num_blocks > 1 && plain.block_size % lane != 0 {
+            if plain.num_blocks > 1 && !plain.block_size.is_multiple_of(lane) {
                 straddled += 1;
             }
             let aligned = solve_lane_aligned(len, heavy, 8, &cal, lane);

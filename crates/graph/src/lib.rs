@@ -5,7 +5,7 @@
 //! Zhan and Faloutsos. This crate provides:
 //!
 //! * [`CsrGraph`] — compressed sparse row adjacency (the standard PBBS
-//!   representation), built in parallel from an edge list;
+//!   representation), built from an edge list;
 //! * [`rmat`] — a seeded R-MAT generator (recursive quadrant sampling
 //!   with the classic `(a, b, c, d)` probabilities), yielding the
 //!   power-law degree distribution that drives the benchmark's irregular
@@ -31,37 +31,25 @@ pub struct CsrGraph {
 
 impl CsrGraph {
     /// Build from an edge list. Self-loops are kept; duplicate edges are
-    /// kept (they do not affect BFS correctness). Runs the counting and
-    /// bucketing passes in parallel.
+    /// kept (they do not affect BFS correctness). Each vertex's
+    /// neighbours appear in edge-list order, whatever pool builds the
+    /// graph: one counting pass sizes the rows, and a sequential
+    /// scatter fills them.
     pub fn from_edges(num_vertices: usize, edges: &[(Vertex, Vertex)]) -> CsrGraph {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let degree: Vec<AtomicUsize> = (0..num_vertices).map(|_| AtomicUsize::new(0)).collect();
-        bds_pool::parallel_for(edges.len(), |i| {
-            degree[edges[i].0 as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        let mut offsets = Vec::with_capacity(num_vertices + 1);
-        let mut acc = 0usize;
-        for d in &degree {
-            offsets.push(acc);
-            acc += d.load(Ordering::Relaxed);
+        let mut offsets = vec![0usize; num_vertices + 1];
+        for &(u, _) in edges {
+            offsets[u as usize + 1] += 1;
         }
-        offsets.push(acc);
-        // Bucket edges by source with per-vertex atomic cursors.
-        let cursor: Vec<AtomicUsize> = offsets[..num_vertices]
-            .iter()
-            .map(|&o| AtomicUsize::new(o))
-            .collect();
-        let targets: Vec<AtomicUsize> = (0..acc).map(|_| AtomicUsize::new(0)).collect();
-        bds_pool::parallel_for(edges.len(), |i| {
-            let (u, v) = edges[i];
-            let slot = cursor[u as usize].fetch_add(1, Ordering::Relaxed);
-            targets[slot].store(v as usize, Ordering::Relaxed);
-        });
-        let targets = targets
-            .into_iter()
-            .map(|t| t.into_inner() as Vertex)
-            .collect();
+        for v in 0..num_vertices {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..num_vertices].to_vec();
+        let mut targets = vec![0; edges.len()];
+        for &(u, v) in edges {
+            let slot = &mut cursor[u as usize];
+            targets[*slot] = v;
+            *slot += 1;
+        }
         CsrGraph { offsets, targets }
     }
 
@@ -123,7 +111,8 @@ impl RmatParams {
 /// `(a, b, c, d)` distribution (with slight per-level noise, as in the
 /// original paper, to avoid exact self-similarity artifacts). Returns a
 /// [`CsrGraph`] with `2^scale` vertices and `edge_factor * 2^scale`
-/// directed edges. Deterministic in `params.seed`.
+/// directed edges. Deterministic in `params.seed` alone: the same graph
+/// under any pool.
 pub fn rmat(params: RmatParams) -> CsrGraph {
     let n = 1usize << params.scale;
     let m = params.edge_factor * n;
@@ -131,12 +120,15 @@ pub fn rmat(params: RmatParams) -> CsrGraph {
     CsrGraph::from_edges(n, &edges)
 }
 
+/// Edges are sampled in this many independently seeded chunks, in
+/// parallel. A constant, so the edge list does not depend on the pool.
+const RMAT_CHUNKS: usize = 64;
+
 fn build_rmat_edges(params: RmatParams, m: usize) -> Vec<(Vertex, Vertex)> {
     use std::sync::Mutex;
-    let chunks = bds_pool::current_num_threads() * 4;
-    let per = m.div_ceil(chunks);
-    let out = Mutex::new(vec![Vec::new(); chunks]);
-    bds_pool::apply(chunks, |c| {
+    let per = m.div_ceil(RMAT_CHUNKS);
+    let out = Mutex::new(vec![Vec::new(); RMAT_CHUNKS]);
+    bds_pool::apply(RMAT_CHUNKS, |c| {
         let lo = c * per;
         let hi = ((c + 1) * per).min(m);
         let mut rng = SmallRng::seed_from_u64(params.seed ^ (0xABCD_1234_u64 << 1) ^ c as u64);
@@ -310,6 +302,17 @@ mod tests {
     }
 
     #[test]
+    fn rmat_is_the_same_graph_under_any_pool() {
+        let p = RmatParams::standard(10, 8, 42);
+        let g1 = bds_pool::Pool::new(1).install(|| rmat(p));
+        let g4 = bds_pool::Pool::new(4).install(|| rmat(p));
+        assert_eq!(g1.num_edges(), g4.num_edges());
+        for v in 0..g1.num_vertices() as Vertex {
+            assert_eq!(g1.out_neighbors(v), g4.out_neighbors(v), "vertex {v}");
+        }
+    }
+
+    #[test]
     fn rmat_has_skewed_degrees() {
         let g = rmat(RmatParams::standard(12, 16, 7));
         let mut degrees: Vec<usize> = (0..g.num_vertices() as Vertex).map(|v| g.degree(v)).collect();
@@ -378,7 +381,7 @@ pub fn grid2d(rows: usize, cols: usize) -> CsrGraph {
 }
 
 impl CsrGraph {
-    /// The transposed graph (every edge reversed), built in parallel.
+    /// The transposed graph (every edge reversed).
     pub fn transpose(&self) -> CsrGraph {
         let edges: Vec<(Vertex, Vertex)> = (0..self.num_vertices() as Vertex)
             .flat_map(|u| self.out_neighbors(u).iter().map(move |&v| (v, u)))

@@ -1,7 +1,7 @@
 //! The shape-keyed plan cache.
 //!
-//! Optimizing is cheap but not free (a geometry solve plus a rewrite
-//! walk), and services see the same pipeline shapes over and over. The
+//! Optimizing is cheap but not free (a geometry solve and a copy of
+//! the shape), and services see the same pipeline shapes over and over. The
 //! cache memoizes [`optimize`](crate::optimize) per [`PlanShape`] with a
 //! deterministic least-recently-used policy driven by a logical tick —
 //! no wall clock, so a cache replayed under the same lookup sequence

@@ -1,38 +1,34 @@
-//! # bds-plan — pipeline plans, a rewrite optimizer, and a plan cache
+//! # bds-plan — pipeline plans, a lowering optimizer, and a plan cache
 //!
 //! The static combinators in [`bds_seq`] decide their lowering locally:
 //! each adaptor picks a representation (random-access delayed or
 //! block-iterable delayed) as it is applied, with no view of the stages
 //! downstream. This crate adds the missing whole-pipeline step. A
 //! [`Pipe`] captures the stage list *without running it*; an optimizer
-//! rewrites the captured plan before anything is consumed; and because
-//! the optimizer is a pure function of the pipeline's **shape** — stage
-//! kinds, arities, and cost classes, never the closures themselves —
-//! its output can be cached and shared across every pipeline with the
-//! same shape ([`PlanCache`]).
+//! chooses how the whole pipeline runs before anything is consumed; and
+//! because the optimizer is a pure function of the pipeline's **shape**
+//! — stage kinds, arities, and cost classes, never the closures
+//! themselves — its output can be cached and shared across every
+//! pipeline with the same shape ([`PlanCache`]).
 //!
-//! ## Rewrites
+//! ## The optimizer's decision
 //!
-//! * **Gather collapse** — a chain of two or more adjacent
-//!   `take`/`skip`/`rev` stages is collapsed into one composed
-//!   `(offset, len, reversed)` index gather. The static library pays a
-//!   force at the first cut on a block-iterable stream and then walks
-//!   the remaining cuts one adaptor at a time; the plan pays the same
-//!   single force and *one* composed cut.
-//! * **Filter–map fusion** — a maximal run of adjacent
-//!   `map`/`filter`/`filter_map` stages containing at least one
-//!   filter-kind stage is marked as one fused pass. The executor runs
-//!   every stage this way — back to back over each chunk, never
-//!   materialising the stream between them — so the step records the
-//!   optimizer's decision rather than changing execution.
-//! * **Lowering choice** — the plan consults
-//!   [`bds_cost::geometry::solve`] once for the whole pipeline: shapes
-//!   whose geometry collapses to a single block run as one block in the
-//!   caller ([`ExecMode::Sequential`]), everything else runs under the
-//!   solved geometry on the pool ([`ExecMode::Parallel`]). Sequential
-//!   mode is only ever chosen for cut-free shapes so that the demand
-//!   semantics of index-space ops (DESIGN.md, "Failure semantics") are
-//!   preserved bit-for-bit.
+//! The plan consults [`bds_cost::geometry::solve`] once for the whole
+//! pipeline: shapes whose geometry collapses to a single block run as
+//! one block in the caller ([`ExecMode::Sequential`]), everything else
+//! runs on the pool under the geometry each segment solves when it is
+//! consumed ([`ExecMode::Parallel`]). Sequential mode is only ever
+//! chosen for cut-free shapes so that the demand semantics of
+//! index-space ops (DESIGN.md, "Failure semantics") are preserved
+//! bit-for-bit.
+//!
+//! Nothing else needs rewriting, because the executor already runs
+//! every pipeline in its cheapest form: adjacent `map`/`filter`/
+//! `filter_map` stages run back to back over each chunk, never
+//! materialising the stream between them, and a chain of adjacent
+//! `take`/`skip`/`rev` stages composes into one window of the input, so
+//! the plan pays at most the single force the static library pays at a
+//! cut on a block-iterable stream.
 //!
 //! ## Execution
 //!
@@ -46,7 +42,7 @@
 //!
 //! ## What is shared and what is not
 //!
-//! A cached [`Plan`] holds stage *indices* and a mode — never closures.
+//! A cached [`Plan`] holds a shape and a mode — never closures.
 //! [`Pipe::execute`] runs the pipe's own stage list on every call, so
 //! two pipelines sharing a plan can never observe each other's
 //! captures.
@@ -75,7 +71,7 @@ mod service;
 mod shape;
 
 pub use cache::PlanCache;
-pub use optimize::{identity_plan, optimize, ExecMode, Plan, PlanStep};
+pub use optimize::{identity_plan, optimize, ExecMode, Plan};
 pub use pipe::{Consumed, ConsumerOp, Pipe};
 pub use service::{submit_collect, submit_count, submit_reduce, TenantPlanner};
 pub use shape::{ConsumerKind, PlanShape, SourceKind, StageKey, StageKind};

@@ -42,35 +42,17 @@ pub enum StageKind {
 }
 
 impl StageKind {
-    /// Index-space stage (`take`/`skip`/`rev`): collapses into a gather.
+    /// Index-space stage (`take`/`skip`/`rev`): narrows the window a
+    /// segment reads, so a chain of them composes into one window.
     pub fn is_cut(self) -> bool {
         matches!(self, StageKind::Take | StageKind::Skip | StageKind::Rev)
-    }
-
-    /// Stage that can participate in a fused `filter_op` run. `MapIdx`
-    /// is excluded: a filter earlier in the run changes downstream
-    /// indices, so fusing it would hand the closure the wrong index.
-    pub fn is_fusable(self) -> bool {
-        matches!(
-            self,
-            StageKind::Map | StageKind::Filter | StageKind::FilterMap
-        )
-    }
-
-    /// Stage that can drop elements (a fused run must contain one to be
-    /// worth collapsing).
-    pub fn is_filterish(self) -> bool {
-        matches!(self, StageKind::Filter | StageKind::FilterMap)
     }
 
     /// Stage whose per-element work is a straight-line loop with no
     /// loop-carried dependency — the shape the `bds_seq::simd` fast
     /// paths (and LLVM's autovectorizer) can lower at vector width.
     /// Scans carry their accumulator between elements and cuts are
-    /// index-space gathers, so neither qualifies. Every
-    /// [`StageKind::is_fusable`] kind is vectorizable, which is why a
-    /// fused `filter_op` run *stays* vectorizable (see
-    /// [`crate::Plan::step_vectorizable`]).
+    /// index-space gathers, so neither qualifies.
     pub fn is_vectorizable(self) -> bool {
         matches!(
             self,
@@ -149,20 +131,10 @@ mod tests {
             StageKind::Skip,
             StageKind::Rev,
         ] {
-            assert!(!(kind.is_cut() && kind.is_fusable()));
-            if kind.is_filterish() {
-                assert!(kind.is_fusable());
-            }
-            // Fusion preserves vectorizability: anything that can join
-            // a fused run can also be lowered at vector width.
-            if kind.is_fusable() {
-                assert!(kind.is_vectorizable());
-            }
             if kind.is_cut() {
                 assert!(!kind.is_vectorizable());
             }
         }
-        assert!(!StageKind::MapIdx.is_fusable());
         assert!(StageKind::MapIdx.is_vectorizable());
         assert!(!StageKind::Scan.is_vectorizable());
         assert!(!StageKind::ScanIncl.is_vectorizable());

@@ -4,15 +4,16 @@
 //! re-index — and preserve random access whenever their inputs have it
 //! (Figure 10, lines 20-27).
 //!
-//! Each adaptor also participates in the cost-model plumbing (see
-//! [`Seq::elem_cost`] / [`Seq::block_size_costed`]): it reports its own
-//! per-element cost as one [`SIMPLE`] application on top of its input's,
-//! and forwards geometry resolution inward with that cost added, so the
-//! source's [`LazyBlockSize`] resolves against the *total* pipeline cost.
+//! None holds a block size. Each reports its own per-element cost as
+//! one [`SIMPLE`] application on top of its input's ([`Seq::elem_cost`]),
+//! so the consumer solves its geometry against the *total* pipeline
+//! cost and passes the block size it solved down through [`Seq::block`].
+//! Adaptors that keep their input's positions forward its
+//! [`Seq::fixed_block_size`]; a zip forwards either side's.
 
 use bds_cost::{ElemCost, SIMPLE};
 
-use crate::policy::LazyBlockSize;
+use crate::stream::block_bounds;
 use crate::traits::{RadBlock, RadSeq, Seq};
 
 // ---------------------------------------------------------------------
@@ -72,29 +73,17 @@ where
         self.input.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.input.block_size()
+    fn fixed_block_size(&self) -> Option<usize> {
+        self.input.fixed_block_size()
     }
 
     fn elem_cost(&self) -> ElemCost {
         self.input.elem_cost() + SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        self.input.block_size_costed(downstream + SIMPLE)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.input.pinned_block_size()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.input.block_size_hinted(hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
         MapBlock {
-            inner: self.input.block(j),
+            inner: self.input.block(j, bs),
             f: &self.f,
         }
     }
@@ -120,50 +109,24 @@ fn check_zip_lengths(a_len: usize, b_len: usize) {
     assert_eq!(a_len, b_len, "zip requires equal lengths");
 }
 
-/// Alignment is checked at *consumption* time (when geometry resolves;
-/// see [`LazyBlockSize`]), not at construction. It can only fail when
-/// *both* sides were already pinned — by earlier consumptions under
-/// different pools or [`crate::policy::force_block_size`] overrides —
-/// because [`zip_block_size`] aligns any still-free side to the pinned
-/// one.
-#[inline]
-fn check_zip_aligned(a_bs: usize, b_bs: usize) -> usize {
-    assert_eq!(
-        a_bs, b_bs,
-        "zip requires aligned blocks; sequences whose geometry was pinned \
-         under different block-size policies cannot be zipped (force one \
-         side first)"
-    );
-    a_bs
-}
-
-/// Geometry resolution shared by [`Zip`] and [`ZipWith`]: the pinned
-/// side wins.
-///
-/// A side that already resolved its geometry (an eager scan/filter
-/// phase, or an earlier consumption) dictates the block size and the
-/// free side adopts it via [`Seq::block_size_hinted`]. Only when both
-/// sides are free does the policy get consulted — once, on side `a`,
-/// priced with the *total* pipeline cost — and `b` then adopts `a`'s
-/// answer. Resolving the two sides independently would be wrong under
-/// [`crate::Policy::Adaptive`]: its inputs (live worker count,
-/// EWMA-refined block overhead) vary over time, so two solves of the
-/// same `(n, cost)` at different instants may legitimately disagree.
-fn zip_block_size<A: Seq, B: Seq>(a: &A, b: &B, downstream: ElemCost) -> usize {
-    match (a.pinned_block_size(), b.pinned_block_size()) {
-        (Some(x), Some(y)) => check_zip_aligned(x, y),
-        (Some(x), None) => check_zip_aligned(x, b.block_size_hinted(x)),
-        (None, Some(y)) => check_zip_aligned(a.block_size_hinted(y), y),
-        (None, None) => {
-            let x = a.block_size_costed(downstream + SIMPLE + b.elem_cost());
-            check_zip_aligned(x, b.block_size_hinted(x))
-        }
+/// The fixed block size of a zip: either side's. Checked when the zip
+/// is consumed, not when it is built, and it can only fail when *both*
+/// sides are scans seeded under different block sizes: a side without
+/// a fixed size is cut wherever the consumer says.
+fn zip_fixed(a: Option<usize>, b: Option<usize>) -> Option<usize> {
+    if let (Some(x), Some(y)) = (a, b) {
+        assert_eq!(
+            x, y,
+            "zip requires aligned blocks; scans seeded under different \
+             block sizes cannot be zipped (force one side first)"
+        );
     }
+    a.or(b)
 }
 
 /// Delayed zip (Figure 10 lines 22-27). Both sides must have the same
-/// length; the aligned block structure this implies (under a single
-/// policy) lets the block streams fuse pairwise.
+/// length, and every consumer cuts both at one block size, so the block
+/// streams fuse pairwise.
 #[must_use = "delayed sequences do nothing until consumed"]
 pub struct Zip<A, B> {
     a: A,
@@ -192,33 +155,16 @@ where
         self.a.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.block_size_costed(ElemCost::ZERO)
+    fn fixed_block_size(&self) -> Option<usize> {
+        zip_fixed(self.a.fixed_block_size(), self.b.fixed_block_size())
     }
 
     fn elem_cost(&self) -> ElemCost {
         self.a.elem_cost() + self.b.elem_cost() + SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        zip_block_size(&self.a, &self.b, downstream)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.a
-            .pinned_block_size()
-            .or_else(|| self.b.pinned_block_size())
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        check_zip_aligned(
-            self.a.block_size_hinted(hint),
-            self.b.block_size_hinted(hint),
-        )
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        self.a.block(j).zip(self.b.block(j))
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        self.a.block(j, bs).zip(self.b.block(j, bs))
     }
 }
 
@@ -293,35 +239,18 @@ where
         self.a.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.block_size_costed(ElemCost::ZERO)
+    fn fixed_block_size(&self) -> Option<usize> {
+        zip_fixed(self.a.fixed_block_size(), self.b.fixed_block_size())
     }
 
     fn elem_cost(&self) -> ElemCost {
         self.a.elem_cost() + self.b.elem_cost() + SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        zip_block_size(&self.a, &self.b, downstream)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.a
-            .pinned_block_size()
-            .or_else(|| self.b.pinned_block_size())
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        check_zip_aligned(
-            self.a.block_size_hinted(hint),
-            self.b.block_size_hinted(hint),
-        )
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
         ZipWithBlock {
-            a: self.a.block(j),
-            b: self.b.block(j),
+            a: self.a.block(j, bs),
+            b: self.b.block(j, bs),
             f: &self.f,
         }
     }
@@ -389,31 +318,18 @@ impl<S: Seq> Seq for Enumerate<S> {
         self.input.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.input.block_size()
+    fn fixed_block_size(&self) -> Option<usize> {
+        self.input.fixed_block_size()
     }
 
     fn elem_cost(&self) -> ElemCost {
         self.input.elem_cost() + SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        self.input.block_size_costed(downstream + SIMPLE)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.input.pinned_block_size()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.input.block_size_hinted(hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        let (lo, _) = self.input.block_bounds(j);
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
         EnumerateBlock {
-            inner: self.input.block(j),
-            next_index: lo,
+            inner: self.input.block(j, bs),
+            next_index: j * bs,
         }
     }
 }
@@ -434,17 +350,12 @@ impl<S: RadSeq> RadSeq for Enumerate<S> {
 pub struct TakeSeq<S> {
     input: S,
     len: usize,
-    bs: LazyBlockSize,
 }
 
 impl<S: RadSeq> TakeSeq<S> {
     pub(crate) fn new(input: S, k: usize) -> Self {
         let len = k.min(input.len());
-        TakeSeq {
-            input,
-            len,
-            bs: LazyBlockSize::new(),
-        }
+        TakeSeq { input, len }
     }
 }
 
@@ -459,31 +370,12 @@ impl<S: RadSeq> Seq for TakeSeq<S> {
         self.len
     }
 
-    fn block_size(&self) -> usize {
-        self.bs.get(self.len)
-    }
-
     fn elem_cost(&self) -> ElemCost {
         self.input.elem_cost() + SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        // Take re-indexes, so it owns its geometry (its length differs
-        // from the input's) but still prices the input's element cost.
-        self.bs
-            .get_costed(self.len, downstream + SIMPLE + self.input.elem_cost())
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.bs.peek()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.bs.get_hinted(self.len, hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        let (lo, hi) = self.block_bounds(j);
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        let (lo, hi) = block_bounds(self.len, bs, j);
         RadBlock::new(self, lo, hi)
     }
 }
@@ -503,19 +395,13 @@ pub struct SkipSeq<S> {
     input: S,
     offset: usize,
     len: usize,
-    bs: LazyBlockSize,
 }
 
 impl<S: RadSeq> SkipSeq<S> {
     pub(crate) fn new(input: S, k: usize) -> Self {
         let offset = k.min(input.len());
         let len = input.len() - offset;
-        SkipSeq {
-            input,
-            offset,
-            len,
-            bs: LazyBlockSize::new(),
-        }
+        SkipSeq { input, offset, len }
     }
 }
 
@@ -530,29 +416,12 @@ impl<S: RadSeq> Seq for SkipSeq<S> {
         self.len
     }
 
-    fn block_size(&self) -> usize {
-        self.bs.get(self.len)
-    }
-
     fn elem_cost(&self) -> ElemCost {
         self.input.elem_cost() + SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        self.bs
-            .get_costed(self.len, downstream + SIMPLE + self.input.elem_cost())
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.bs.peek()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.bs.get_hinted(self.len, hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        let (lo, hi) = self.block_bounds(j);
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        let (lo, hi) = block_bounds(self.len, bs, j);
         RadBlock::new(self, lo, hi)
     }
 }
@@ -587,28 +456,12 @@ impl<S: RadSeq> Seq for RevSeq<S> {
         self.input.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.input.block_size()
-    }
-
     fn elem_cost(&self) -> ElemCost {
         self.input.elem_cost() + SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        self.input.block_size_costed(downstream + SIMPLE)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.input.pinned_block_size()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.input.block_size_hinted(hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        let (lo, hi) = self.block_bounds(j);
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        let (lo, hi) = block_bounds(self.input.len(), bs, j);
         RadBlock::new(self, lo, hi)
     }
 }
@@ -627,32 +480,23 @@ mod tests {
     #[test]
     fn map_block_streams_match_to_vec() {
         let s = tabulate(5000, |i| i as u64).map(|x| x * 2);
-        let mut collected = Vec::new();
-        for j in 0..s.num_blocks() {
-            collected.extend(s.block(j));
-        }
+        let collected: Vec<u64> = (0..5).flat_map(|j| s.block(j, 1000)).collect();
         assert_eq!(collected, s.to_vec());
     }
 
     #[test]
     fn map_block_size_hint_is_exact() {
-        let _g = crate::policy::test_sync::test_force(64);
         let s = tabulate(200, |i| i).map(|x| x);
-        let b = s.block(0);
-        assert_eq!(b.size_hint(), (64, Some(64)));
-        let last = s.block(s.num_blocks() - 1);
-        assert_eq!(last.size_hint().0, 200 % 64);
+        assert_eq!(s.block(0, 64).size_hint(), (64, Some(64)));
+        assert_eq!(s.block(3, 64).size_hint().0, 200 % 64);
     }
 
     #[test]
-    fn zip_block_bounds_align() {
-        let _g = crate::policy::test_sync::test_force(32);
-        let a = tabulate(100, |i| i);
-        let b = tabulate(100, |i| 100 - i);
-        let z = a.zip(b);
-        assert_eq!(z.num_blocks(), 4);
-        let total: usize = (0..4).map(|j| z.block(j).count()).sum();
+    fn zip_blocks_align_at_any_size() {
+        let z = tabulate(100, |i| i).zip(tabulate(100, |i| 100 - i));
+        let total: usize = (0..4).map(|j| z.block(j, 32).count()).sum();
         assert_eq!(total, 100);
+        assert!(z.block(3, 32).all(|(a, b)| a + b == 100));
     }
 
     #[test]
@@ -665,31 +509,23 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "aligned blocks")]
-    fn zip_misaligned_blocks_panics() {
-        // Geometry resolves at consumption, so pin each side under a
-        // different forced policy by touching `block_size()` while the
-        // override is in effect. The mismatch is then caught when the
-        // zip is consumed, not when it is built.
-        let a = {
-            let _g = crate::policy::test_sync::test_force(16);
-            let s = tabulate(100, |i| i);
-            let _ = s.block_size();
-            s
+    fn zipping_scans_seeded_under_different_block_sizes_panics() {
+        // A scan's seeds belong to the block size its seed pass ran
+        // under, so two scans seeded under different forced sizes
+        // cannot be cut at one size. The mismatch is caught when the zip
+        // is consumed, not when it is built.
+        let seeded = |bs| {
+            let _g = crate::policy::test_sync::test_force(bs);
+            tabulate(100, |i| i as u64).scan(0, |a, b| a + b).0
         };
-        let b = {
-            let _g = crate::policy::test_sync::test_force(32);
-            let s = tabulate(100, |i| i);
-            let _ = s.block_size();
-            s
-        };
-        let z = a.zip(b);
+        let z = seeded(16).zip(seeded(32));
         let _ = z.to_vec();
     }
 
     #[test]
-    fn zip_misaligned_construction_is_allowed() {
-        // Building the zip never resolves geometry: both sides stay
-        // unpinned and agree once the consumer picks a policy.
+    fn zip_of_free_sides_is_cut_where_the_consumer_says() {
+        // Neither side holds a block size: the consumer solves one and
+        // cuts both there.
         let _l = crate::policy::test_sync::test_lock();
         let a = tabulate(100, |i| i);
         let b = tabulate(100, |i| 99 - i);
@@ -700,9 +536,8 @@ mod tests {
 
     #[test]
     fn enumerate_block_indices_are_global() {
-        let _g = crate::policy::test_sync::test_force(8);
         let s = tabulate(20, |i| i * 10).enumerate();
-        let second_block: Vec<(usize, usize)> = s.block(1).collect();
+        let second_block: Vec<(usize, usize)> = s.block(1, 8).collect();
         assert_eq!(second_block[0], (8, 80));
     }
 
@@ -728,8 +563,7 @@ mod tests {
         let _g = crate::policy::test_sync::test_force(16);
         let (scanned, _) = tabulate(100, |_| 1u64).scan(0, |a, b| a + b);
         let mapped = scanned.map(|x| x * 10);
-        assert_eq!(mapped.block_size(), 16);
-        assert_eq!(mapped.num_blocks(), 7);
+        assert_eq!(mapped.fixed_block_size(), Some(16));
         let v = mapped.to_vec();
         assert_eq!(v[17], 170);
     }
@@ -806,32 +640,19 @@ where
         self.input.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.input.block_size()
+    fn fixed_block_size(&self) -> Option<usize> {
+        self.input.fixed_block_size()
     }
 
     fn elem_cost(&self) -> ElemCost {
         self.input.elem_cost() + SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        self.input.block_size_costed(downstream + SIMPLE)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.input.pinned_block_size()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.input.block_size_hinted(hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        let (lo, _) = self.input.block_bounds(j);
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
         MapWithIndexBlock {
-            inner: self.input.block(j),
+            inner: self.input.block(j, bs),
             f: &self.f,
-            next_index: lo,
+            next_index: j * bs,
         }
     }
 }

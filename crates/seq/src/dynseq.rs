@@ -65,15 +65,13 @@ type IndexFn<T> = Arc<dyn Fn(usize) -> T + Send + Sync>;
 type BlockFn<T> = Arc<dyn Fn(usize) -> DynStream<T> + Send + Sync>;
 
 /// The dynamic instantiation of the indexed-stream core: a borrowed
-/// view of a [`DSeq::Bid`]'s pinned geometry and boxed block streams.
+/// view of a [`DSeq::Bid`]'s fixed geometry and boxed block streams.
 ///
-/// `DSeq` is deliberately *cost-blind*: its geometry is pinned when
+/// `DSeq` is deliberately *cost-blind*: a BID's block size is fixed when
 /// [`DSeq::to_bid`] runs (via [`crate::policy::block_size`], with no
 /// per-element cost input — the ML transcription has no cost model), so
-/// [`IndexedStream::resolve_block_size`] returns that pinned size and
-/// ignores the downstream cost. This keeps the dynamic lowering's
-/// observable geometry identical to what it was before the drive loops
-/// were unified.
+/// the stream reports it as its [`IndexedStream::fixed_block_size`] and
+/// the drive loops never consult its cost.
 struct BidStream<'a, T> {
     len: usize,
     bs: usize,
@@ -91,11 +89,16 @@ impl<T: Send + Sync + Clone + 'static> IndexedStream for BidStream<'_, T> {
         self.len
     }
 
-    fn resolve_block_size(&self, _downstream: bds_cost::ElemCost) -> usize {
-        self.bs
+    fn fixed_block_size(&self) -> Option<usize> {
+        Some(self.bs)
     }
 
-    fn stream_block(&self, j: usize) -> DynStream<T> {
+    fn elem_cost(&self) -> bds_cost::ElemCost {
+        bds_cost::SIMPLE
+    }
+
+    fn stream_block(&self, j: usize, bs: usize) -> DynStream<T> {
+        debug_assert_eq!(bs, self.bs);
         (self.b)(j)
     }
 }
@@ -260,11 +263,12 @@ impl<T: Send + Sync + Clone + 'static> DSeq<T> {
     /// `zip` (Figure 10 lines 22-27): RAD×RAD stays RAD; otherwise both
     /// sides become BIDs and blocks are zipped pairwise.
     ///
-    /// Alignment follows the static library's pinned-side-wins rule: a
-    /// side that is already a BID had its block size fixed when its
-    /// eager phase ran, so a still-RAD partner adopts that size rather
-    /// than asking the current policy (which, under `Policy::Adaptive`,
-    /// may legitimately answer differently at a later time).
+    /// Alignment follows the static library's rule that a fixed block
+    /// size wins: a side that is already a BID had its block size fixed
+    /// when its eager phase ran, so a still-RAD partner adopts that size
+    /// rather than asking the current policy (which, under
+    /// `Policy::Adaptive`, may legitimately answer differently at a later
+    /// time).
     ///
     /// # Panics
     /// Panics if lengths differ, or if two BIDs have misaligned blocks.
@@ -338,7 +342,7 @@ impl<T: Send + Sync + Clone + 'static> DSeq<T> {
         };
         // Phases 1-2: the core's shared seeds loop (block sums fused
         // with the input's streams, then a sequential scan of the sums).
-        let (seeds, total) = stream::scan_seeds(&BidStream { len, bs, b: &b }, zero, &f);
+        let (_, seeds, total) = stream::scan_seeds(&BidStream { len, bs, b: &b }, zero, &f);
         if seeds.is_empty() {
             return (DSeq::empty_bid(), total);
         }
@@ -566,7 +570,7 @@ impl<T: Send + Sync + Clone + 'static> DSeq<T> {
         };
         // Phases 1-2: the core's shared seeds loop; the exclusive
         // prefix of block sums is each block's incoming prefix.
-        let (seeds, _total) = stream::scan_seeds(&BidStream { len, bs, b: &b }, zero, &f);
+        let (_, seeds, _total) = stream::scan_seeds(&BidStream { len, bs, b: &b }, zero, &f);
         if seeds.is_empty() {
             return DSeq::empty_bid();
         }

@@ -12,10 +12,10 @@
 //!
 //! * [`ErasedSeq`] / [`ErasedRadSeq`] — object-safe mirrors of the
 //!   [`Seq`] / [`RadSeq`] surface, with blocks erased to boxed
-//!   iterators. Every geometry-negotiation method (`elem_cost`,
-//!   `block_size_costed`, `pinned_block_size`, `block_size_hinted`)
-//!   is forwarded, so erased pipelines run the *same* cost-model and
-//!   pinned-side-wins zip logic as static ones.
+//!   iterators. `elem_cost` and `fixed_block_size` are forwarded, so a
+//!   consumer solves the *same* geometry for an erased pipeline as for
+//!   the static one, and the block size it solved is passed through
+//!   the box to every block.
 //! * [`BoxSeq`] / [`BoxRad`] — owning boxes over those traits that
 //!   implement [`Seq`] (and [`RadSeq`]) themselves, so an erased
 //!   stage composes with every static adaptor and consumer. The
@@ -56,8 +56,8 @@ use bds_cost::ElemCost;
 
 use crate::traits::{RadSeq, Seq};
 
-/// Object-safe mirror of [`Seq`]: the same length, block-geometry and
-/// cost surface, with the block stream erased to a boxed iterator.
+/// Object-safe mirror of [`Seq`]: the same length, fixed-size and cost
+/// surface, with the block stream erased to a boxed iterator.
 ///
 /// Implemented automatically for every [`Seq`]; consume it through
 /// [`BoxSeq`], which carries the `dyn` object and re-implements
@@ -69,18 +69,12 @@ pub trait ErasedSeq<T>: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// [`Seq::block_size`].
-    fn block_size(&self) -> usize;
+    /// [`Seq::fixed_block_size`].
+    fn fixed_block_size(&self) -> Option<usize>;
     /// [`Seq::elem_cost`].
     fn elem_cost(&self) -> ElemCost;
-    /// [`Seq::block_size_costed`].
-    fn block_size_costed(&self, downstream: ElemCost) -> usize;
-    /// [`Seq::pinned_block_size`].
-    fn pinned_block_size(&self) -> Option<usize>;
-    /// [`Seq::block_size_hinted`].
-    fn block_size_hinted(&self, hint: usize) -> usize;
     /// [`Seq::block`], erased to a boxed iterator.
-    fn boxed_block(&self, j: usize) -> Box<dyn Iterator<Item = T> + '_>;
+    fn boxed_block(&self, j: usize, bs: usize) -> Box<dyn Iterator<Item = T> + '_>;
 }
 
 impl<S: Seq> ErasedSeq<S::Item> for S {
@@ -88,28 +82,16 @@ impl<S: Seq> ErasedSeq<S::Item> for S {
         Seq::len(self)
     }
 
-    fn block_size(&self) -> usize {
-        Seq::block_size(self)
+    fn fixed_block_size(&self) -> Option<usize> {
+        Seq::fixed_block_size(self)
     }
 
     fn elem_cost(&self) -> ElemCost {
         Seq::elem_cost(self)
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        Seq::block_size_costed(self, downstream)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        Seq::pinned_block_size(self)
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        Seq::block_size_hinted(self, hint)
-    }
-
-    fn boxed_block(&self, j: usize) -> Box<dyn Iterator<Item = S::Item> + '_> {
-        Box::new(Seq::block(self, j))
+    fn boxed_block(&self, j: usize, bs: usize) -> Box<dyn Iterator<Item = S::Item> + '_> {
+        Box::new(Seq::block(self, j, bs))
     }
 }
 
@@ -131,9 +113,9 @@ impl<S: RadSeq> ErasedRadSeq<S::Item> for S {
 ///
 /// `BoxSeq<T>` implements [`Seq`], so it composes with every static
 /// adaptor and consumer; wrap the result of such a composition in
-/// [`BoxSeq::new`] again to keep the running type fixed. All geometry
-/// negotiation is forwarded to the erased pipeline, including the
-/// pinned-side-wins zip protocol.
+/// [`BoxSeq::new`] again to keep the running type fixed. The erased
+/// pipeline's cost and fixed block size are forwarded, so zips and
+/// consumers see it exactly as they see the static one.
 #[must_use = "delayed sequences do nothing until consumed"]
 pub struct BoxSeq<T> {
     inner: Box<dyn ErasedSeq<T>>,
@@ -162,28 +144,16 @@ impl<T: Send> Seq for BoxSeq<T> {
         self.inner.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
+    fn fixed_block_size(&self) -> Option<usize> {
+        self.inner.fixed_block_size()
     }
 
     fn elem_cost(&self) -> ElemCost {
         self.inner.elem_cost()
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        self.inner.block_size_costed(downstream)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.inner.pinned_block_size()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.inner.block_size_hinted(hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        self.inner.boxed_block(j)
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        self.inner.boxed_block(j, bs)
     }
 }
 
@@ -224,28 +194,16 @@ impl<T: Send> Seq for BoxRad<T> {
         ErasedSeq::len(&*self.inner)
     }
 
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
+    fn fixed_block_size(&self) -> Option<usize> {
+        self.inner.fixed_block_size()
     }
 
     fn elem_cost(&self) -> ElemCost {
         self.inner.elem_cost()
     }
 
-    fn block_size_costed(&self, downstream: ElemCost) -> usize {
-        self.inner.block_size_costed(downstream)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.inner.pinned_block_size()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.inner.block_size_hinted(hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        self.inner.boxed_block(j)
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        self.inner.boxed_block(j, bs)
     }
 }
 
@@ -279,16 +237,16 @@ mod tests {
     }
 
     #[test]
-    fn geometry_forwarding_preserves_pins() {
-        // A scanned (eager-phase, pinned) pipeline keeps its pin across
-        // erasure, so pinned-side-wins zip alignment still fires.
+    fn erasure_forwards_a_scans_fixed_block_size() {
+        // A scan's fixed block size survives erasure, so a zip with a
+        // fresh side is still cut at the size the scan was seeded under.
         let (scanned, _total) = tabulate(3000, |i| i as u64).scan(0, |a, b| a + b);
-        let pinned = Seq::pinned_block_size(&scanned);
-        assert!(pinned.is_some());
+        let fixed = Seq::fixed_block_size(&scanned);
+        assert!(fixed.is_some());
         let erased = BoxSeq::new(scanned);
-        assert_eq!(Seq::pinned_block_size(&erased), pinned);
-        // Zipping the pinned erased side against a fresh source must
-        // align (this panics on misalignment).
+        assert_eq!(Seq::fixed_block_size(&erased), fixed);
+        // Zipping the erased scan against a fresh source must align
+        // (the scan's blocks panic at any other size).
         let fresh = tabulate(3000, |i| i as u64);
         let v = erased.zip_with(fresh, |a, b| a + b).to_vec();
         assert_eq!(v.len(), 3000);

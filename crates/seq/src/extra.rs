@@ -2,11 +2,8 @@
 //! short-circuiting quantifiers, and extrema. All follow the same
 //! delayed/blocked discipline as the core operations.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use crate::policy::LazyBlockSize;
+use crate::stream::{self, of_seq};
 use crate::traits::{RadBlock, RadSeq, Seq};
-use crate::util::build_vec;
 
 // ---------------------------------------------------------------------
 // Append
@@ -18,7 +15,6 @@ use crate::util::build_vec;
 pub struct Append<A, B> {
     a: A,
     b: B,
-    bs: LazyBlockSize,
 }
 
 /// Concatenate two RADs into a delayed sequence.
@@ -27,11 +23,7 @@ where
     A: RadSeq,
     B: RadSeq<Item = A::Item>,
 {
-    Append {
-        a,
-        b,
-        bs: LazyBlockSize::new(),
-    }
+    Append { a, b }
 }
 
 impl<A, B> Seq for Append<A, B>
@@ -49,10 +41,6 @@ where
         self.a.len() + self.b.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.bs.get(self.a.len() + self.b.len())
-    }
-
     fn elem_cost(&self) -> bds_cost::ElemCost {
         // Boundary dispatch plus the costlier side's element cost (a
         // block may land entirely in either side).
@@ -61,21 +49,8 @@ where
         worst + bds_cost::SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: bds_cost::ElemCost) -> usize {
-        self.bs
-            .get_costed(self.a.len() + self.b.len(), downstream + self.elem_cost())
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.bs.peek()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.bs.get_hinted(self.a.len() + self.b.len(), hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        let (lo, hi) = self.block_bounds(j);
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        let (lo, hi) = stream::block_bounds(Seq::len(self), bs, j);
         RadBlock::new(self, lo, hi)
     }
 }
@@ -107,53 +82,18 @@ where
     A: Send,
     B: Send,
 {
-    let n = seq.len();
-    // Two writes + two slots of fresh allocation per element.
-    seq.block_size_costed(bds_cost::ElemCost { w: 2, s: 2, a: 2 });
-    let pa = crate::util::PartialVec::new(n);
-    let pb = crate::util::PartialVec::new(n);
-    bds_pool::apply(seq.num_blocks(), |j| {
-        let (lo, hi) = seq.block_bounds(j);
-        // Blocks partition 0..n; each index written once in each buffer,
-        // through drop guards so partial regions stay accounted for.
-        let mut wa = pa.writer(lo);
-        let mut wb = pb.writer(lo);
-        for (x, y) in seq.block(j) {
-            assert!(lo + wa.count() < hi, "Seq invariant violated: block overflow");
-            wa.push(x);
-            wb.push(y);
-        }
-        assert_eq!(lo + wa.count(), hi, "Seq invariant violated: block underflow");
-    });
-    (pa.finish(), pb.finish())
+    stream::unzip(&of_seq(seq))
 }
 
 /// Does any element satisfy `pred`? Blocks short-circuit against a
-/// shared flag (each block checks it between elements), so a hit found
-/// anywhere stops the remaining streams early.
+/// shared flag, so a hit found anywhere stops the remaining streams
+/// early.
 pub fn any<S, P>(seq: &S, pred: P) -> bool
 where
     S: Seq,
     P: Fn(&S::Item) -> bool + Send + Sync,
 {
-    // One predicate application (and a flag check) per element.
-    seq.block_size_costed(bds_cost::SIMPLE);
-    let found = AtomicBool::new(false);
-    bds_pool::apply(seq.num_blocks(), |j| {
-        if found.load(Ordering::Relaxed) {
-            return;
-        }
-        for x in seq.block(j) {
-            if pred(&x) {
-                found.store(true, Ordering::Relaxed);
-                return;
-            }
-            if found.load(Ordering::Relaxed) {
-                return;
-            }
-        }
-    });
-    found.load(Ordering::Relaxed)
+    stream::any(&of_seq(seq), &pred)
 }
 
 /// Do all elements satisfy `pred`? Dual of [`any`].
@@ -175,40 +115,7 @@ where
     K: PartialOrd + Send,
     F: Fn(&S::Item) -> K + Send + Sync,
 {
-    if seq.is_empty() {
-        return None;
-    }
-    // Two key evaluations + a comparison per element.
-    seq.block_size_costed(bds_cost::ElemCost { w: 2, s: 2, a: 0 });
-    let nb = seq.num_blocks();
-    // Per-block champion with its global index (for deterministic ties).
-    let champs: Vec<(usize, S::Item)> = build_vec(nb, |pv| {
-        bds_pool::apply(nb, |j| {
-            let (lo, _) = seq.block_bounds(j);
-            let mut best: Option<(usize, S::Item)> = None;
-            for (k, x) in seq.block(j).enumerate() {
-                let better = match &best {
-                    None => true,
-                    Some((_, b)) => key(&x) > key(b),
-                };
-                if better {
-                    best = Some((lo + k, x));
-                }
-            }
-            // Block nonempty by the Seq invariant.
-            pv.writer(j).push(best.expect("empty block"));
-        });
-    });
-    champs
-        .into_iter()
-        .reduce(|a, b| {
-            if key(&b.1) > key(&a.1) {
-                b
-            } else {
-                a
-            }
-        })
-        .map(|(_, x)| x)
+    stream::max_by_key(&of_seq(seq), &key)
 }
 
 /// The minimum element by a key function; see [`max_by_key`].

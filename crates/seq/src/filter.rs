@@ -48,8 +48,8 @@ where
 }
 
 /// Shared packing machinery: one instantiation of the indexed-stream
-/// core's [`stream::filter_parts`] drive loop (which owns the geometry
-/// pinning, profiling, and per-block survivor charging), flattened.
+/// core's [`stream::filter_parts`] drive loop (which owns the geometry,
+/// profiling, and per-block survivor charging), flattened.
 ///
 /// `packToArray` in the paper uses a dynamically resized array so that
 /// only as much memory as needed is allocated; the core's per-block
@@ -74,8 +74,8 @@ mod tests {
         let _g = crate::policy::test_sync::test_force(16);
         let f = tabulate(1000, |i| i).filter(|&x| x % 10 == 0);
         assert_eq!(f.len(), 100);
-        assert_eq!(f.num_blocks(), 100usize.div_ceil(16));
-        let got: Vec<usize> = (0..f.num_blocks()).flat_map(|j| f.block(j)).collect();
+        assert_eq!(f.num_inners(), 1000usize.div_ceil(16));
+        let got: Vec<usize> = (0..7).flat_map(|j| f.block(j, 16)).collect();
         let want: Vec<usize> = (0..1000).filter(|x| x % 10 == 0).collect();
         assert_eq!(got, want);
     }

@@ -10,8 +10,8 @@
 //! walk is delayed.
 
 use crate::counters;
-use crate::policy::LazyBlockSize;
 use crate::profile;
+use crate::stream::block_bounds;
 use crate::traits::{RadSeq, Seq};
 use crate::util::array_scan_exclusive;
 
@@ -24,10 +24,6 @@ pub struct Flattened<Inner> {
     /// (`offsets.len() == inners.len() + 1`).
     offsets: Vec<usize>,
     len: usize,
-    /// Output block geometry: resolved when the flatten is consumed, not
-    /// when it is built (the blocked output space is re-cut from `bs` on
-    /// every `block(j)`, so nothing here depends on an early choice).
-    bs: LazyBlockSize,
 }
 
 /// Flatten a sequence of random-access inner sequences.
@@ -67,7 +63,6 @@ impl<Inner: RadSeq> Flattened<Inner> {
             inners,
             offsets,
             len: total,
-            bs: LazyBlockSize::new(),
         }
     }
 
@@ -165,10 +160,6 @@ impl<Inner: RadSeq> Seq for Flattened<Inner> {
         self.len
     }
 
-    fn block_size(&self) -> usize {
-        self.bs.get(self.len)
-    }
-
     fn elem_cost(&self) -> bds_cost::ElemCost {
         // One SIMPLE for the region walk, plus the inner sequences' own
         // per-element cost (all inners share a type, so the first is
@@ -179,22 +170,10 @@ impl<Inner: RadSeq> Seq for Flattened<Inner> {
             + bds_cost::SIMPLE
     }
 
-    fn block_size_costed(&self, downstream: bds_cost::ElemCost) -> usize {
-        // The flatten owns its output geometry (the blocked space is the
-        // concatenation, not any one inner).
-        self.bs.get_costed(self.len, downstream + self.elem_cost())
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.bs.peek()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.bs.get_hinted(self.len, hint)
-    }
-
-    fn block(&self, j: usize) -> RegionIter<'_, Inner> {
-        let (lo, hi) = self.block_bounds(j);
+    /// The blocked output space is the concatenation, re-cut from `bs`
+    /// on every call (the paper's `getRegion`), so any block size works.
+    fn block(&self, j: usize, bs: usize) -> RegionIter<'_, Inner> {
+        let (lo, hi) = block_bounds(self.len, bs, j);
         // Binary search: the last inner whose offset is <= lo. Runs of
         // equal offsets (empty inners) are skipped by taking the last.
         let part = self.offsets.partition_point(|&o| o <= lo) - 1;
@@ -223,12 +202,10 @@ mod tests {
 
     #[test]
     fn blocks_start_mid_inner() {
-        // Force tiny blocks so boundaries land inside inner sequences.
-        let _g = crate::policy::test_sync::test_force(3);
+        // Tiny blocks, so boundaries land inside inner sequences.
         let f = Flattened::from_inners(inners(&[5, 0, 7, 1]));
         assert_eq!(f.len(), 13);
-        assert_eq!(f.num_blocks(), 5);
-        let got: Vec<usize> = (0..f.num_blocks()).flat_map(|j| f.block(j)).collect();
+        let got: Vec<usize> = (0..5).flat_map(|j| f.block(j, 3)).collect();
         let want: Vec<usize> = [5, 0, 7, 1].iter().flat_map(|&k| 0..k).collect();
         assert_eq!(got, want);
     }
@@ -244,7 +221,6 @@ mod tests {
     fn all_empty_inners() {
         let f = Flattened::from_inners(inners(&[0, 0, 0]));
         assert_eq!(f.len(), 0);
-        assert_eq!(f.num_blocks(), 0);
         assert!(f.to_vec().is_empty());
     }
 
@@ -289,10 +265,9 @@ mod tests {
 
     #[test]
     fn region_iter_size_hint() {
-        let _g = crate::policy::test_sync::test_force(4);
         let f = Flattened::from_inners(inners(&[10]));
-        assert_eq!(f.block(0).size_hint(), (4, Some(4)));
-        assert_eq!(f.block(2).size_hint(), (2, Some(2)));
+        assert_eq!(f.block(0, 4).size_hint(), (4, Some(4)));
+        assert_eq!(f.block(2, 4).size_hint(), (2, Some(2)));
     }
 }
 

@@ -12,8 +12,11 @@
 //!   O(1); fusing them is function composition ("index fusion").
 //! * A **BID** (block-iterable delayed sequence) is the [`Seq`] trait's
 //!   view: the sequence is split into equal blocks, each a sequential
-//!   *stream* built in O(1). `scan`, `filter` and `flatten` produce BIDs:
-//!   their block-based implementations have sequential inner loops, so
+//!   *stream* built in O(1). The consumer picks the block size and
+//!   passes it to every block ([`Seq::block`]); only a scan, whose seeds
+//!   belong to the size its eager phase ran under, fixes one
+//!   ([`Seq::fixed_block_size`]). `scan`, `filter` and `flatten` produce
+//!   BIDs: their block-based implementations have sequential inner loops, so
 //!   the *output per block* can be a delayed stream that fuses with the
 //!   next operation ("stream fusion within blocks, parallelism across
 //!   blocks").
@@ -45,12 +48,11 @@
 //! delaying wins and when a [`Seq::force`] is worth its extra pass.
 //!
 //! The same model drives the runtime. Every adaptor reports a per-element
-//! cost ([`Seq::elem_cost`]); when a consumer runs, the *total* pipeline
-//! cost is threaded from the consumer down to the source
-//! ([`Seq::block_size_costed`]), where the default [`Policy::Adaptive`]
-//! solves for a block count from cost × length × live workers (see
-//! `bds_cost::geometry`). The paper's fixed `~8P blocks` heuristic
-//! remains available as [`Policy::fixed`]:
+//! cost ([`Seq::elem_cost`]); when a consumer runs, it adds its own cost
+//! to the pipeline's and solves its geometry once ([`stream::geometry`]),
+//! where the default [`Policy::Adaptive`] picks a block count from
+//! cost × length × live workers (see `bds_cost::geometry`). The paper's
+//! fixed `~8P blocks` heuristic remains available as [`Policy::fixed`]:
 //!
 //! ```
 //! use bds_seq::prelude::*;
@@ -62,7 +64,7 @@
 //! // Dropping the guard restores the adaptive default.
 //! ```
 //!
-//! See `docs/ARCHITECTURE.md` for the full geometry-resolution walkthrough.
+//! See `docs/ARCHITECTURE.md` for the full geometry walkthrough.
 //!
 //! ## Failure semantics
 //!

@@ -202,137 +202,6 @@ pub fn num_blocks(n: usize, bs: usize) -> usize {
     ceil_div(n, bs)
 }
 
-/// Block geometry resolved at *consumption* time, then pinned.
-///
-/// Delayed sources and re-indexing adaptors must not bake a block size in
-/// at construction: the policy divides `n` by the ambient pool's `P`, so
-/// a sequence built outside `Pool::install` (or under a differently sized
-/// pool) would capture geometry tuned for the wrong processor count —
-/// and, worse, constructing off-pool would silently spawn the global pool
-/// just to read its `P`. Instead they hold a `LazyBlockSize`: the first
-/// call to [`LazyBlockSize::get`] (always from a consumer, hence under
-/// the consuming pool) resolves the policy and caches the result, and
-/// every later call returns the cached value.
-///
-/// Pinning after first use is load-bearing, not just a cache: sequences
-/// with an eager phase (scan seeds, filter's packed blocks) consume their
-/// input once eagerly and replay its block structure during the delayed
-/// phase, so the geometry observed by the two phases must be identical
-/// even if the ambient pool or a [`force_block_size`] override changed in
-/// between.
-pub struct LazyBlockSize(AtomicUsize);
-
-impl LazyBlockSize {
-    /// An unresolved geometry; resolves on first [`LazyBlockSize::get`].
-    pub const fn new() -> LazyBlockSize {
-        LazyBlockSize(AtomicUsize::new(0))
-    }
-
-    /// The block size for `n` elements: resolved against the current
-    /// policy (ambient pool / override) on first call, cached thereafter.
-    /// Concurrent first calls race benignly — one resolution wins and all
-    /// callers agree on it. Prices the pipeline as one simple pass;
-    /// cost-aware callers use [`LazyBlockSize::get_costed`].
-    #[inline]
-    pub fn get(&self, n: usize) -> usize {
-        self.get_costed(n, SIMPLE)
-    }
-
-    /// Like [`LazyBlockSize::get`], but resolving (on first call) with
-    /// the pipeline's accumulated per-element cost, so the adaptive
-    /// policy can weigh real work against per-block overhead. Once any
-    /// call — costed or not — has resolved the geometry, the cost
-    /// argument is ignored: pinning wins, by design (eager phases and
-    /// replays must observe identical geometry).
-    #[inline]
-    pub fn get_costed(&self, n: usize, per_elem: ElemCost) -> usize {
-        match self.0.load(Ordering::Relaxed) {
-            0 => self.resolve(n, per_elem),
-            bs => bs,
-        }
-    }
-
-    /// The pinned block size, or `None` while unresolved. Never
-    /// resolves — this is how [`crate::Seq::pinned_block_size`] peeks at
-    /// geometry without committing to one.
-    #[inline]
-    pub fn peek(&self) -> Option<usize> {
-        match self.0.load(Ordering::Relaxed) {
-            0 => None,
-            bs => Some(bs),
-        }
-    }
-
-    /// Resolve to `hint` if still unresolved, and return the winner
-    /// (the hint on adoption, the already-pinned size otherwise).
-    ///
-    /// Backs [`crate::Seq::block_size_hinted`]: zip aligns its unpinned
-    /// side to its pinned side through this, bypassing the policy — the
-    /// pinned side already paid for a policy decision and the time-
-    /// varying adaptive solver might not reproduce it. An active
-    /// [`force_block_size`] override still takes precedence over the
-    /// hint (overrides model ablation sweeps, which must see their
-    /// exact size everywhere).
-    ///
-    /// # Panics
-    /// Panics if `hint == 0` (debug builds).
-    pub fn get_hinted(&self, n: usize, hint: usize) -> usize {
-        debug_assert!(hint > 0, "block-size hint must be positive");
-        let forced = OVERRIDE.load(Ordering::Relaxed);
-        if forced != 0 {
-            return self.get(n);
-        }
-        match self.0.load(Ordering::Relaxed) {
-            0 => match self.0.compare_exchange(
-                0,
-                hint.max(1),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => hint.max(1),
-                Err(winner) => winner,
-            },
-            bs => bs,
-        }
-    }
-
-    #[cold]
-    fn resolve(&self, n: usize, per_elem: ElemCost) -> usize {
-        let bs = block_size_costed(n, per_elem);
-        debug_assert!(bs > 0);
-        match self
-            .0
-            .compare_exchange(0, bs, Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => bs,
-            Err(winner) => winner,
-        }
-    }
-}
-
-impl Default for LazyBlockSize {
-    fn default() -> Self {
-        LazyBlockSize::new()
-    }
-}
-
-impl Clone for LazyBlockSize {
-    /// Clones carry over the resolved value (or the unresolved state), so
-    /// a clone of a consumed sequence keeps its pinned geometry.
-    fn clone(&self) -> Self {
-        LazyBlockSize(AtomicUsize::new(self.0.load(Ordering::Relaxed)))
-    }
-}
-
-impl std::fmt::Debug for LazyBlockSize {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0.load(Ordering::Relaxed) {
-            0 => f.write_str("LazyBlockSize(unresolved)"),
-            bs => write!(f, "LazyBlockSize({bs})"),
-        }
-    }
-}
-
 /// RAII guard that forces a fixed block size process-wide while alive.
 ///
 /// Intended for benchmarks and tests; concurrent guards with different

@@ -6,6 +6,11 @@
 //! inner loops are sequential per block, so the output can be a BID whose
 //! block streams perform the phase-3 work lazily, fusing with whatever
 //! consumes the scan. Only phases 1-2 run eagerly, allocating O(b).
+//!
+//! The seeds of phase 2 belong to the block size phases 1-2 ran under,
+//! so a scan is the one kind of sequence that fixes its geometry
+//! ([`Seq::fixed_block_size`]): every consumer of its output cuts it at
+//! that size, and block `j`'s phase 3 starts from seed `j`.
 
 use crate::traits::Seq;
 
@@ -17,6 +22,8 @@ where
     S::Item: Clone,
 {
     input: S,
+    /// The block size phases 1-2 ran under.
+    bs: usize,
     /// Exclusive prefix of block sums: the starting accumulator of each
     /// block (phase 2's output).
     seeds: Vec<S::Item>,
@@ -31,6 +38,7 @@ where
     S::Item: Clone,
 {
     input: S,
+    bs: usize,
     seeds: Vec<S::Item>,
     f: F,
 }
@@ -39,7 +47,7 @@ where
 /// the indexed-stream core's [`crate::stream::scan_seeds`] drive loop
 /// (per-block sums fused with the input's delayed work, then a
 /// sequential scan of the sums).
-fn block_seeds<S, F>(input: &S, zero: S::Item, f: &F) -> (Vec<S::Item>, S::Item)
+fn block_seeds<S, F>(input: &S, zero: S::Item, f: &F) -> (usize, Vec<S::Item>, S::Item)
 where
     S: Seq,
     S::Item: Clone + Sync,
@@ -55,8 +63,16 @@ where
     S::Item: Clone + Sync,
     F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
 {
-    let (seeds, total) = block_seeds(&input, zero, &f);
-    (Scanned { input, seeds, f }, total)
+    let (bs, seeds, total) = block_seeds(&input, zero, &f);
+    (
+        Scanned {
+            input,
+            bs,
+            seeds,
+            f,
+        },
+        total,
+    )
 }
 
 /// Inclusive scan; see [`Seq::scan_incl`].
@@ -66,8 +82,13 @@ where
     S::Item: Clone + Sync,
     F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
 {
-    let (seeds, _total) = block_seeds(&input, zero, &f);
-    ScannedIncl { input, seeds, f }
+    let (bs, seeds, _total) = block_seeds(&input, zero, &f);
+    ScannedIncl {
+        input,
+        bs,
+        seeds,
+        f,
+    }
 }
 
 /// Block stream of [`Scanned`]: phase 3, exclusive flavor.
@@ -140,30 +161,21 @@ where
         self.input.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.input.block_size()
+    fn fixed_block_size(&self) -> Option<usize> {
+        Some(self.bs)
     }
 
     fn elem_cost(&self) -> bds_cost::ElemCost {
         self.input.elem_cost() + bds_cost::SIMPLE
     }
 
-    fn block_size_costed(&self, _downstream: bds_cost::ElemCost) -> usize {
-        // Geometry was pinned by the eager phases 1-2 (block_seeds) and
-        // must be replayed identically in phase 3, whatever the
-        // downstream cost; see `LazyBlockSize`.
-        self.input.block_size()
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        // Always pinned (by block_seeds): zipping a scan with a fresh
-        // sequence aligns the fresh side to the scan's geometry.
-        Some(self.input.block_size())
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        assert_eq!(
+            bs, self.bs,
+            "scan blocks are fixed at the size they were seeded under"
+        );
         ScanBlock {
-            inner: self.input.block(j),
+            inner: self.input.block(j, bs),
             acc: self.seeds[j].clone(),
             f: &self.f,
         }
@@ -186,26 +198,21 @@ where
         self.input.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.input.block_size()
+    fn fixed_block_size(&self) -> Option<usize> {
+        Some(self.bs)
     }
 
     fn elem_cost(&self) -> bds_cost::ElemCost {
         self.input.elem_cost() + bds_cost::SIMPLE
     }
 
-    fn block_size_costed(&self, _downstream: bds_cost::ElemCost) -> usize {
-        // Pinned by the eager phases; see Scanned::block_size_costed.
-        self.input.block_size()
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        Some(self.input.block_size())
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        assert_eq!(
+            bs, self.bs,
+            "scan blocks are fixed at the size they were seeded under"
+        );
         ScanInclBlock {
-            inner: self.input.block(j),
+            inner: self.input.block(j, bs),
             acc: self.seeds[j].clone(),
             f: &self.f,
         }
@@ -222,9 +229,9 @@ mod tests {
         // twice yields the same elements (delayed = pure).
         let _g = crate::policy::test_sync::test_force(32);
         let (s, _) = tabulate(200, |i| i as u64).scan(0, |a, b| a + b);
-        for j in 0..s.num_blocks() {
-            let once: Vec<u64> = s.block(j).collect();
-            let twice: Vec<u64> = s.block(j).collect();
+        for j in 0..7 {
+            let once: Vec<u64> = s.block(j, 32).collect();
+            let twice: Vec<u64> = s.block(j, 32).collect();
             assert_eq!(once, twice, "block {j}");
         }
     }
@@ -234,8 +241,8 @@ mod tests {
         let _g = crate::policy::test_sync::test_force(16);
         let xs: Vec<u64> = (0..100).map(|i| i % 5).collect();
         let (s, _) = from_slice(&xs).scan(0, |a, b| a + b);
-        for j in 0..s.num_blocks() {
-            let first = s.block(j).next().unwrap();
+        for j in 0..7 {
+            let first = s.block(j, 16).next().unwrap();
             let want: u64 = xs[..j * 16].iter().sum();
             assert_eq!(first, want, "block {j}");
         }
@@ -261,7 +268,15 @@ mod tests {
     fn scan_size_hints() {
         let _g = crate::policy::test_sync::test_force(8);
         let (s, _) = tabulate(20, |i| i as u64).scan(0, |a, b| a + b);
-        assert_eq!(s.block(0).size_hint(), (8, Some(8)));
-        assert_eq!(s.block(2).size_hint(), (4, Some(4)));
+        assert_eq!(s.block(0, 8).size_hint(), (8, Some(8)));
+        assert_eq!(s.block(2, 8).size_hint(), (4, Some(4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "seeded under")]
+    fn scan_blocks_refuse_another_block_size() {
+        let _g = crate::policy::test_sync::test_force(8);
+        let (s, _) = tabulate(20, |i| i as u64).scan(0, |a, b| a + b);
+        let _ = s.block(0, 10);
     }
 }

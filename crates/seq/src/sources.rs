@@ -4,17 +4,15 @@
 use std::sync::Arc;
 
 use crate::counters;
-use crate::policy::LazyBlockSize;
+use crate::stream::block_bounds;
 use crate::traits::{RadBlock, RadSeq, Seq};
 
 /// Fully delayed sequence defined by an index function (Figure 10 line
 /// 19). Construction is O(1); all work is delayed — including the block
-/// geometry, which resolves against the *consuming* pool on first use
-/// (see [`LazyBlockSize`]).
+/// geometry, which each consumer solves under the *consuming* pool.
 #[must_use = "delayed sequences do nothing until consumed"]
 pub struct Tabulate<F> {
     len: usize,
-    bs: LazyBlockSize,
     f: F,
 }
 
@@ -24,11 +22,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Send + Sync,
 {
-    Tabulate {
-        len: n,
-        bs: LazyBlockSize::new(),
-        f,
-    }
+    Tabulate { len: n, f }
 }
 
 /// Block stream of a [`Tabulate`]: applies the index function across a
@@ -83,25 +77,8 @@ where
         self.len
     }
 
-    fn block_size(&self) -> usize {
-        self.bs.get(self.len)
-    }
-
-    fn block_size_costed(&self, downstream: bds_cost::ElemCost) -> usize {
-        // One SIMPLE for the index-function application itself.
-        self.bs.get_costed(self.len, downstream + bds_cost::SIMPLE)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.bs.peek()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.bs.get_hinted(self.len, hint)
-    }
-
-    fn block(&self, j: usize) -> TabulateBlock<'_, F> {
-        let (lo, hi) = self.block_bounds(j);
+    fn block(&self, j: usize, bs: usize) -> TabulateBlock<'_, F> {
+        let (lo, hi) = block_bounds(self.len, bs, j);
         TabulateBlock {
             f: &self.f,
             next: lo,
@@ -128,14 +105,19 @@ where
 #[must_use = "delayed sequences do nothing until consumed"]
 pub struct FromSlice<'a, T> {
     data: &'a [T],
-    bs: LazyBlockSize,
 }
 
 /// View a slice as a random-access delayed sequence.
 pub fn from_slice<T: Clone + Send + Sync>(data: &[T]) -> FromSlice<'_, T> {
-    FromSlice {
-        data,
-        bs: LazyBlockSize::new(),
+    FromSlice { data }
+}
+
+/// Block `j` of `data` cut into blocks of `bs`.
+fn slice_block<T>(data: &[T], j: usize, bs: usize) -> SliceBlock<'_, T> {
+    let (lo, hi) = block_bounds(data.len(), bs, j);
+    SliceBlock {
+        inner: data[lo..hi].iter(),
+        ticker: bds_pool::PollTicker::new(),
     }
 }
 
@@ -174,30 +156,8 @@ impl<'a, T: Clone + Send + Sync> Seq for FromSlice<'a, T> {
         self.data.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.bs.get(self.data.len())
-    }
-
-    fn block_size_costed(&self, downstream: bds_cost::ElemCost) -> usize {
-        // One SIMPLE for the read + clone.
-        self.bs
-            .get_costed(self.data.len(), downstream + bds_cost::SIMPLE)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.bs.peek()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.bs.get_hinted(self.data.len(), hint)
-    }
-
-    fn block(&self, j: usize) -> SliceBlock<'_, T> {
-        let (lo, hi) = self.block_bounds(j);
-        SliceBlock {
-            inner: self.data[lo..hi].iter(),
-            ticker: bds_pool::PollTicker::new(),
-        }
+    fn block(&self, j: usize, bs: usize) -> SliceBlock<'_, T> {
+        slice_block(self.data, j, bs)
     }
 }
 
@@ -216,14 +176,12 @@ impl<'a, T: Clone + Send + Sync> RadSeq for FromSlice<'a, T> {
 /// one-time materialization cost.
 pub struct Forced<T> {
     data: Arc<Vec<T>>,
-    bs: LazyBlockSize,
 }
 
 impl<T> Clone for Forced<T> {
     fn clone(&self) -> Self {
         Forced {
             data: Arc::clone(&self.data),
-            bs: self.bs.clone(),
         }
     }
 }
@@ -233,7 +191,6 @@ impl<T: Clone + Send + Sync> Forced<T> {
     pub fn from_vec(data: Vec<T>) -> Self {
         Forced {
             data: Arc::new(data),
-            bs: LazyBlockSize::new(),
         }
     }
 
@@ -254,29 +211,8 @@ impl<T: Clone + Send + Sync> Seq for Forced<T> {
         self.data.len()
     }
 
-    fn block_size(&self) -> usize {
-        self.bs.get(self.data.len())
-    }
-
-    fn block_size_costed(&self, downstream: bds_cost::ElemCost) -> usize {
-        self.bs
-            .get_costed(self.data.len(), downstream + bds_cost::SIMPLE)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        self.bs.peek()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        self.bs.get_hinted(self.data.len(), hint)
-    }
-
-    fn block(&self, j: usize) -> SliceBlock<'_, T> {
-        let (lo, hi) = self.block_bounds(j);
-        SliceBlock {
-            inner: self.data[lo..hi].iter(),
-            ticker: bds_pool::PollTicker::new(),
-        }
+    fn block(&self, j: usize, bs: usize) -> SliceBlock<'_, T> {
+        slice_block(&self.data, j, bs)
     }
 }
 
@@ -316,28 +252,16 @@ impl<S: Seq + ?Sized> Seq for &S {
         (**self).len()
     }
 
-    fn block_size(&self) -> usize {
-        (**self).block_size()
+    fn fixed_block_size(&self) -> Option<usize> {
+        (**self).fixed_block_size()
     }
 
     fn elem_cost(&self) -> bds_cost::ElemCost {
         (**self).elem_cost()
     }
 
-    fn block_size_costed(&self, downstream: bds_cost::ElemCost) -> usize {
-        (**self).block_size_costed(downstream)
-    }
-
-    fn pinned_block_size(&self) -> Option<usize> {
-        (**self).pinned_block_size()
-    }
-
-    fn block_size_hinted(&self, hint: usize) -> usize {
-        (**self).block_size_hinted(hint)
-    }
-
-    fn block(&self, j: usize) -> Self::Block<'_> {
-        (**self).block(j)
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        (**self).block(j, bs)
     }
 }
 
@@ -356,13 +280,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tabulate_block_bounds() {
-        let _g = crate::policy::test_sync::test_force(10);
+    fn tabulate_blocks_follow_the_block_size_argument() {
         let s = tabulate(25, |i| i);
-        assert_eq!(s.num_blocks(), 3);
-        assert_eq!(s.block_bounds(0), (0, 10));
-        assert_eq!(s.block_bounds(2), (20, 25));
-        assert_eq!(s.block(2).count(), 5);
+        let block = |j, bs| s.block(j, bs).collect::<Vec<_>>();
+        assert_eq!(block(0, 10), (0..10).collect::<Vec<_>>());
+        assert_eq!(block(2, 10), (20..25).collect::<Vec<_>>());
+        assert_eq!(block(2, 12), vec![24]);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Integration tests for the adaptive block-geometry policy: the block
-//! count a pipeline resolves at consumption time must be valid
-//! (`1..=len`), monotone in the worker count, and never starve a pool on
-//! inputs far larger than the machine.
+//! count a consumption solves must be valid (`1..=len`), monotone in the
+//! worker count, and never starve a pool on inputs far larger than the
+//! machine.
 //!
-//! Geometry resolution reads process-global state (the policy mode and
-//! the calibration table), so every test here serializes on one mutex.
+//! Geometry reads process-global state (the policy mode and the
+//! calibration table) and the solver's decision log is process-global,
+//! so every test here serializes on one mutex.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -18,17 +19,20 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|p| p.into_inner())
 }
 
-/// Block count a fresh `n`-element tabulate+reduce pipeline resolves to
-/// when consumed under a `p`-thread pool. A fresh pipeline per call:
-/// geometry pins on first consumption (see `LazyBlockSize`).
+/// Block count an `n`-element tabulate+reduce pipeline solves for when
+/// consumed under a `p`-thread pool: the one decision it puts to the
+/// solver.
 fn adaptive_blocks(n: usize, p: usize) -> usize {
     let pool = bds_pool::Pool::new(p);
+    let rec = bds_cost::record_geometry();
     pool.install(|| {
-        let s = tabulate(n, |i| i as u64);
-        let sum = s.reduce(0, |a, b| a + b);
+        let sum = tabulate(n, |i| i as u64).reduce(0, |a, b| a + b);
         assert_eq!(sum, (n as u64 - 1) * n as u64 / 2);
-        s.num_blocks()
-    })
+    });
+    let log = bds_cost::recorded_geometry();
+    drop(rec);
+    assert_eq!(log.len(), 1, "one consumption, one decision: {log:?}");
+    log[0].num_blocks
 }
 
 #[test]
@@ -71,12 +75,7 @@ fn tiny_inputs_resolve_to_one_block() {
     // 64 elements cannot amortize even one extra block's overhead at the
     // calibration clamps, whatever this machine measures.
     let _g = serial();
-    let pool = bds_pool::Pool::new(4);
-    pool.install(|| {
-        let s = tabulate(64, |i| i);
-        assert_eq!(s.reduce(0, |a, b| a + b), 64 * 63 / 2);
-        assert_eq!(s.num_blocks(), 1);
-    });
+    assert_eq!(adaptive_blocks(64, 4), 1);
 }
 
 #[test]
@@ -87,56 +86,54 @@ fn fixed_policy_matches_seed_heuristic() {
     let _p = bds_seq::set_policy(bds_seq::Policy::fixed(8));
     let pool = bds_pool::Pool::new(2);
     let n = 1usize << 20;
-    let (bs, nb) = pool.install(|| {
-        let s = tabulate(n, |i| i as u64);
-        assert_eq!(s.reduce(0, |a, b| a + b), (n as u64 - 1) * n as u64 / 2);
-        (s.block_size(), s.num_blocks())
-    });
+    // The solve a consumer makes, for any pipeline cost.
+    let g = pool.install(|| bds_seq::stream::geometry(n, None, bds_cost::SIMPLE));
     let want_bs = n.div_ceil(8 * 2).max(bds_seq::MIN_BLOCK);
-    assert_eq!(bs, want_bs);
-    assert_eq!(nb, n.div_ceil(want_bs));
+    assert_eq!(g.bs, want_bs);
+    assert_eq!(g.nb, n.div_ceil(want_bs));
+}
+
+/// `sum_{i<n} (prefix_i + 1)` for the prefix sums of `i % 7`.
+fn zipped_total(n: usize) -> u64 {
+    let mut acc = 0u64;
+    let mut t = n as u64; // the +1 per element from the fresh side
+    for i in 0..n as u64 {
+        t += acc;
+        acc += i % 7;
+    }
+    t
 }
 
 #[test]
-fn zip_aligns_fresh_side_to_scan_pinned_under_other_pool() {
-    // Regression: adaptive geometry depends on time-varying inputs (live
-    // worker count, refined overhead), so a scan pinned under one pool
-    // and a fresh sequence resolved under another could disagree — zip
-    // must align the fresh side to the pinned one instead of resolving
-    // both independently.
+fn scan_zipped_with_fresh_side_streams_aligned_blocks_under_another_pool() {
+    // A scan seeded under one pool and a fresh sequence consumed under
+    // another: the consumer cuts both at the scan's fixed size, so the
+    // blocks align whatever the second pool would have solved.
     let _g = serial();
     let n = 1usize << 20;
     let scanned = {
         let pool = bds_pool::Pool::new(4);
         pool.install(|| tabulate(n, |i| (i % 7) as u64).scan(0, |a, b| a + b).0)
     };
-    let pinned = scanned.block_size();
+    let fixed = scanned.fixed_block_size();
+    assert!(fixed.is_some());
     let pool = bds_pool::Pool::new(2);
     let (bs, total) = pool.install(|| {
-        let fresh = tabulate(n, |_| 1u64);
-        let z = (&scanned).zip_with(fresh, |a, b| a + b);
-        let bs = z.block_size();
-        (bs, z.reduce(0, |a, b| a + b))
+        let z = (&scanned).zip_with(tabulate(n, |_| 1u64), |a, b| a + b);
+        (z.fixed_block_size(), z.reduce(0, |a, b| a + b))
     });
-    assert_eq!(bs, pinned, "fresh side must adopt the scan's pinned geometry");
-    let mut want = n as u64; // the +1 per element
-    let mut acc = 0u64;
-    for i in 0..n as u64 {
-        want += acc;
-        acc += i % 7;
-    }
-    assert_eq!(total, want);
+    assert_eq!(bs, fixed, "the zip is cut at the scan's size");
+    assert_eq!(total, zipped_total(n));
 }
 
 #[test]
-fn zip_pinned_side_wins_across_thread_counts() {
-    // The pinned-side-wins rule must hold whatever pool widths pinned
+fn scan_fixes_the_zip_across_thread_counts() {
+    // The scan's fixed size must cut the zip whatever pool widths seeded
     // the scan and consume the zip — 1, 2, and the machine's full width
-    // on either side, with the pinned sequence as either zip operand.
-    // Under Adaptive policy the two pools generally resolve different
-    // geometries for the same length, so any cell where the fresh side
-    // kept its own resolution shows up as a block-size mismatch (and,
-    // before the alignment fix, as misaligned zip blocks).
+    // on either side, with the scan as either zip operand. Under
+    // Adaptive policy the two pools generally solve different geometries
+    // for the same length, so a cell that cut the fresh side at its own
+    // size would trip the scan's block-size assertion.
     let _g = serial();
     let n = 1usize << 20;
     let max = std::thread::available_parallelism()
@@ -145,45 +142,26 @@ fn zip_pinned_side_wins_across_thread_counts() {
         .max(2);
     let mut widths = vec![1, 2, max];
     widths.dedup();
-    let want_total: u64 = {
-        let mut acc = 0u64;
-        let mut t = n as u64; // the +1 per element from the fresh side
-        for i in 0..n as u64 {
-            t += acc;
-            acc += i % 7;
-        }
-        t
-    };
+    let want_total = zipped_total(n);
     for &p_pin in &widths {
         for &p_zip in &widths {
             let scanned = {
                 let pool = bds_pool::Pool::new(p_pin);
                 pool.install(|| tabulate(n, |i| (i % 7) as u64).scan(0, |a, b| a + b).0)
             };
-            let pinned = scanned.block_size();
             let pool = bds_pool::Pool::new(p_zip);
-            // Pinned sequence on the left.
-            let (bs, total) = pool.install(|| {
-                let fresh = tabulate(n, |_| 1u64);
-                let z = (&scanned).zip_with(fresh, |a, b| a + b);
-                (z.block_size(), z.reduce(0, |a, b| a + b))
+            let left = pool.install(|| {
+                (&scanned)
+                    .zip_with(tabulate(n, |_| 1u64), |a, b| a + b)
+                    .reduce(0, |a, b| a + b)
             });
-            assert_eq!(
-                bs, pinned,
-                "pin pool {p_pin}, zip pool {p_zip}: fresh right side kept its own geometry"
-            );
-            assert_eq!(total, want_total, "pin pool {p_pin}, zip pool {p_zip}");
-            // Pinned sequence on the right.
-            let (bs, total) = pool.install(|| {
-                let fresh = tabulate(n, |_| 1u64);
-                let z = fresh.zip_with(&scanned, |a, b| a + b);
-                (z.block_size(), z.reduce(0, |a, b| a + b))
+            assert_eq!(left, want_total, "pin pool {p_pin}, zip pool {p_zip}");
+            let right = pool.install(|| {
+                tabulate(n, |_| 1u64)
+                    .zip_with(&scanned, |a, b| a + b)
+                    .reduce(0, |a, b| a + b)
             });
-            assert_eq!(
-                bs, pinned,
-                "pin pool {p_pin}, zip pool {p_zip}: fresh left side kept its own geometry"
-            );
-            assert_eq!(total, want_total, "pin pool {p_pin}, zip pool {p_zip} (reversed)");
+            assert_eq!(right, want_total, "pin pool {p_pin}, zip pool {p_zip} (reversed)");
         }
     }
 }

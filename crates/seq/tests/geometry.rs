@@ -1,19 +1,24 @@
-//! Regression test for the block-geometry capture bug: delayed
-//! sequences used to resolve `block_size(len)` at *construction*, which
-//! (a) spawned the global pool as a side effect of merely building a
-//! pipeline and (b) froze the geometry to whatever pool happened to be
-//! ambient at build time instead of the pool that consumes the result.
+//! Geometry is solved at *consumption*, under the consuming pool:
+//! building a pipeline must not spawn the global pool, and a sequence
+//! holds no block size, so the same sequence consumed under two pools
+//! is cut for each. Only a scan keeps the size its seeds were solved
+//! for.
 //!
-//! This lives in its own test binary (one `#[test]`) so the process
-//! verifiably has no pool when the pipeline is built.
+//! The pool checks need a process with no pool when the pipeline is
+//! built, so this binary holds no other pipelines.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use bds_cost::Calibration;
 use bds_seq::prelude::*;
-use bds_seq::MIN_BLOCK;
 
 #[test]
-fn geometry_resolves_against_consuming_pool() {
+fn each_consumption_solves_under_its_own_pool() {
+    let _policy = bds_seq::set_policy(bds_seq::Policy::Adaptive);
+    let _cal = bds_cost::override_calibration(Calibration {
+        ns_per_work: 1.0,
+        block_overhead_ns: 1500.0,
+    });
     // Build a pipeline with NO pool anywhere: must not spawn one.
     let n = 1usize << 20;
     let s = tabulate(n, |i| i as u64).map(|x| x + 1);
@@ -23,46 +28,41 @@ fn geometry_resolves_against_consuming_pool() {
         "constructing a delayed pipeline must not spawn the global pool"
     );
 
-    // Consume under an explicit 2-thread pool: geometry must match P=2,
-    // not the 0-thread world the pipeline was built in.
-    let pool = bds_pool::Pool::new(2);
-    let (bs, nb, sum) = pool.install(|| {
-        let bs = s.block_size();
-        (bs, s.num_blocks(), s.reduce(0, |a, b| a + b))
-    });
-    // block_size = max(MIN_BLOCK, ceil(n / 8P)) with P = 2.
-    let want_bs = (n.div_ceil(16)).max(MIN_BLOCK);
-    assert_eq!(bs, want_bs, "block size must come from the consuming pool");
-    assert_eq!(nb, n.div_ceil(want_bs));
-    assert_eq!(nb, 16, "2^20 elements under P=2 is exactly 8P = 16 blocks");
-    assert_eq!(sum, (1..=n as u64).sum::<u64>());
+    // Consume the same value under a 1-worker and then a 4-worker pool:
+    // each consumption puts its own question to the solver. (Seeded
+    // pools report their full width, so the answers are fixed.)
+    let rec = bds_cost::record_geometry();
+    for p in [1, 4] {
+        let pool = bds_pool::Pool::new_seeded(p, 7);
+        let sum = pool.install(|| s.reduce(0, |a, b| a + b));
+        assert_eq!(sum, (1..=n as u64).sum::<u64>());
+    }
+    let decisions: Vec<(usize, usize)> = bds_cost::recorded_geometry()
+        .into_iter()
+        .filter(|d| d.len == n)
+        .map(|d| (d.workers, d.num_blocks))
+        .collect();
+    drop(rec);
+    assert_eq!(
+        decisions,
+        [(1, 8), (4, 32)],
+        "a sequence consumed twice is solved twice, under each pool"
+    );
 
-    // Consuming under the explicit pool must not have touched the
-    // global one either.
+    // Consuming under explicit pools must not have touched the global
+    // one either.
     assert!(
         !bds_pool::global_pool_exists(),
         "consuming under an explicit pool must not spawn the global pool"
     );
-
-    // Once resolved, the geometry is pinned: re-consuming the same value
-    // elsewhere (even under a different pool) replays identical blocks.
-    let other = bds_pool::Pool::new(4);
-    let bs_again = other.install(|| s.block_size());
-    assert_eq!(bs_again, want_bs, "first consumption pins the geometry");
-
-    // And a *fresh* pipeline consumed under the 4-thread pool resolves
-    // against it: same n, twice the parallelism, half the block size.
-    let fresh = tabulate(n, |i| i as u64);
-    let bs4 = other.install(|| fresh.block_size());
-    assert_eq!(bs4, (n.div_ceil(32)).max(MIN_BLOCK));
 }
 
 #[test]
 fn eager_phases_still_run_where_invoked() {
-    // scan's phases 1-2 are eager: they run (and resolve geometry)
+    // scan's phases 1-2 are eager: they run (and solve geometry)
     // wherever .scan() is called, so its seeds match the pool in effect
-    // *there*. The delayed phase 3 then replays that pinned geometry
-    // even if consumed elsewhere — this is what pinning protects.
+    // *there*. The delayed phase 3 then replays that block size even if
+    // consumed elsewhere.
     let pool = bds_pool::Pool::new(2);
     let evals = AtomicUsize::new(0);
     let (scanned, total) = pool.install(|| {
@@ -74,12 +74,13 @@ fn eager_phases_still_run_where_invoked() {
     });
     assert_eq!(evals.load(Ordering::Relaxed), 100_000, "phases 1-2 ran eagerly");
     assert_eq!(total, 100_000);
-    let bs_pinned = scanned.block_size();
+    let fixed = scanned.fixed_block_size();
+    assert!(fixed.is_some(), "a scan fixes its block size");
     // Consume under a different pool: results stay correct because the
-    // seed array and the block structure were pinned together.
+    // seed array and the block size were fixed together.
     let other = bds_pool::Pool::new(4);
     let v = other.install(|| scanned.to_vec());
-    assert_eq!(scanned.block_size(), bs_pinned);
+    assert_eq!(scanned.fixed_block_size(), fixed);
     assert_eq!(v[12_345], 12_345);
     assert_eq!(v.len(), 100_000);
 }

@@ -72,15 +72,15 @@ fn main() {
 
     // 6. Deterministic fault injection (only with --features
     // fault-inject; a no-op build prints the unfired path).
-    let armed = bds_seq::faults::arm(500);
-    let swept = tabulate(1_000, |i| i as u64)
-        .try_reduce(0u64, |a, b| {
+    let swept = {
+        let _armed = bds_seq::faults::arm(500);
+        tabulate(1_000, |i| i as u64).try_reduce(0u64, |a, b| {
             if bds_seq::faults::poll() {
                 Err("injected at the 500th operator call")
             } else {
                 Ok(a + b)
             }
-        });
-    drop(armed);
+        })
+    };
     println!("injected fault       : {swept:?}");
 }

@@ -148,13 +148,11 @@ fn sufficient_budget_returns_the_ungoverned_value() {
 #[test]
 fn flatten_region_walk_observes_cancellation_within_one_poll_chunk() {
     let _l = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // 1000 inners x 1000 elements, forced into ONE output block.
+    // 1000 inners x 1000 elements, walked as ONE output block.
     let inners: Vec<Forced<u64>> = (0..1000)
         .map(|k| Forced::from_vec((0..1000).map(|i| (k * 1000 + i) as u64).collect()))
         .collect();
     let flat = Flattened::from_inners(inners);
-    let _bs = bds_seq::force_block_size(flat.len());
-    assert_eq!(flat.num_blocks(), 1, "geometry must be a single region");
 
     const K: usize = 10_000;
     let counted = AtomicUsize::new(0);
@@ -162,7 +160,8 @@ fn flatten_region_walk_observes_cancellation_within_one_poll_chunk() {
     let outcome = quietly(|| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             bds_pool::with_token(&token, || {
-                for x in flat.block(0) {
+                // Block 0 at block size `len`: a single region.
+                for x in flat.block(0, flat.len()) {
                     std::hint::black_box(x);
                     if counted.fetch_add(1, Ordering::Relaxed) + 1 == K {
                         token.cancel();

@@ -71,8 +71,8 @@ fn quietly<R>(f: impl FnOnce() -> R) -> R {
 /// The monomorphized and erased instantiations must put the *same
 /// questions* to the cost solver and get the same answers: identical
 /// `record_geometry` decision logs for the same consumption sequence.
-/// `BoxSeq` forwards `elem_cost`/`block_size_costed` to the wrapped
-/// pipeline, so any divergence here means one of the two is resolving
+/// `BoxSeq` forwards `elem_cost`/`fixed_block_size` to the wrapped
+/// pipeline, so any divergence here means one of the two is solving
 /// geometry through a different path than the shared drive loop.
 #[test]
 fn geometry_decision_log_identical_mono_vs_erased() {
