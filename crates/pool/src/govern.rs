@@ -422,58 +422,6 @@ fn jitter_next() -> u64 {
     crate::registry::splitmix64(STATE.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed))
 }
 
-/// Retry `f` up to `attempts` times with jittered exponential backoff
-/// (uniform in `[d/2, d]` for `d = base`, `2*base`, `4*base`, … — see
-/// [`backoff_delay`]), returning the first `Ok` or the last `Err`.
-///
-/// The companion to [`run_governed`] for transient failures: a run shed
-/// under overload or cut short by a deadline often succeeds on a calmer
-/// retry, and the jitter keeps a crowd of shed callers from retrying in
-/// lockstep. `f` receives the attempt index (0-based).
-///
-/// With `attempts == 1` this is exactly one call to `f` — no backoff
-/// delay is computed (nothing would sleep on it) and no classification
-/// work runs.
-///
-/// When every attempt fails, the *last* error is returned:
-///
-/// ```
-/// use std::time::Duration;
-/// // Three attempts, all failing: the error from attempt index 2 (the
-/// // last) surfaces, after sleeping the jittered backoff twice.
-/// let r: Result<(), usize> =
-///     bds_pool::retry_with_backoff(3, Duration::ZERO, |attempt| Err(attempt));
-/// assert_eq!(r, Err(2));
-/// ```
-///
-/// # Panics
-/// Panics if `attempts == 0`.
-pub fn retry_with_backoff<T, E>(
-    attempts: usize,
-    base: Duration,
-    mut f: impl FnMut(usize) -> Result<T, E>,
-) -> Result<T, E> {
-    assert!(attempts > 0, "retry_with_backoff needs at least one attempt");
-    if attempts == 1 {
-        // Single attempt: skip the retry machinery entirely rather
-        // than compute a backoff delay that is never slept.
-        return f(0);
-    }
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        match f(attempt) {
-            Ok(value) => return Ok(value),
-            Err(e) => {
-                last_err = Some(e);
-                if attempt + 1 < attempts {
-                    std::thread::sleep(backoff_delay(attempt, base));
-                }
-            }
-        }
-    }
-    Err(last_err.expect("attempts > 0"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,47 +496,6 @@ mod tests {
         // value must come through even though a watchdog entry existed.
         let budget = Budget::default().with_deadline(Duration::from_secs(3600));
         assert_eq!(run_governed(budget, || "done"), Ok("done"));
-    }
-
-    #[test]
-    fn retry_with_backoff_returns_first_success() {
-        let r: Result<usize, &str> =
-            retry_with_backoff(5, Duration::from_millis(1), |attempt| {
-                if attempt < 2 {
-                    Err("transient")
-                } else {
-                    Ok(attempt)
-                }
-            });
-        assert_eq!(r, Ok(2));
-    }
-
-    #[test]
-    fn retry_with_backoff_surfaces_last_error() {
-        let tried = AtomicUsize::new(0);
-        let r: Result<(), usize> = retry_with_backoff(3, Duration::from_millis(1), |attempt| {
-            tried.fetch_add(1, Ordering::Relaxed);
-            Err(attempt)
-        });
-        assert_eq!(r, Err(2));
-        assert_eq!(tried.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn retry_with_backoff_single_attempt_runs_once_without_backoff() {
-        let tried = AtomicUsize::new(0);
-        let started = Instant::now();
-        // An enormous base would stall for minutes if the single-attempt
-        // path touched the backoff schedule at all.
-        let r: Result<(), &str> = retry_with_backoff(1, Duration::from_secs(3600), |_| {
-            tried.fetch_add(1, Ordering::Relaxed);
-            Err("fails")
-        });
-        assert_eq!(r, Err("fails"));
-        assert_eq!(tried.load(Ordering::Relaxed), 1);
-        assert!(started.elapsed() < Duration::from_secs(60));
-        let ok: Result<u32, ()> = retry_with_backoff(1, Duration::from_secs(3600), |a| Ok(a as u32));
-        assert_eq!(ok, Ok(0));
     }
 
     #[test]

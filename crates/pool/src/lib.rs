@@ -37,13 +37,12 @@ pub mod stats;
 
 pub use cancel::{apply_cancellable, CancelToken, PollTicker};
 pub use cancel::{reset_ticker_polls, shield, ticker_polls, with_token};
-pub use govern::{backoff_delay, retry_with_backoff, run_governed, Budget, Exceeded};
+pub use govern::{run_governed, Budget, Exceeded};
 pub use latch::{AsyncLatch, Latch};
 pub use recovery::{
     recover_block, recover_effect_block, recovery_counts, run_recovered,
     run_recovered_counting, BlockFailed, FaultClass, RecoveryCounts, RetryPolicy,
 };
-pub use registry::AdmitToken;
 pub use stats::{PoolStats, TenantSlot, TenantStats, WorkerStats};
 
 /// Model-checking facade: exposes the internal synchronization
@@ -155,11 +154,10 @@ impl Pool {
     }
 
     /// Create a pool with an explicit admission cap: at most
-    /// `max_inflight` external [`Pool::install`] calls (plus
-    /// [`Pool::try_reserve`] slots) are admitted concurrently; the rest
-    /// shed to degraded in-caller execution. Overrides the
-    /// `BDS_MAX_INFLIGHT` environment variable, which is racy to mutate
-    /// from tests and invisible to library callers.
+    /// `max_inflight` external [`Pool::install`] calls are admitted
+    /// concurrently; the rest shed to degraded in-caller execution.
+    /// Overrides the `BDS_MAX_INFLIGHT` environment variable, which is
+    /// racy to mutate from tests and invisible to library callers.
     ///
     /// The cap is strict: admission uses a compare-and-swap, so
     /// concurrent racers at the boundary shed rather than overshoot.
@@ -244,56 +242,37 @@ impl Pool {
     /// [`AsyncLatch`] a future is parked on; `bds-service` builds its
     /// ticket protocol this way).
     ///
-    /// `spawn` deliberately bypasses admission control: an external
-    /// scheduler that spawns is expected to gate itself with
-    /// [`Pool::try_reserve`] first. A panic that escapes `f` unwinds the
+    /// `spawn` bypasses admission control: a scheduler that spawns
+    /// bounds its own concurrency. A panic that escapes `f` unwinds the
     /// executing worker, which is detected and respawned (counted in
     /// [`PoolStats::respawns`]) — catch panics inside `f` if they are an
     /// expected outcome.
     ///
     /// Jobs still queued when the pool is dropped are run (degraded,
     /// sequentially) on the dropping thread, so a spawned job is never
-    /// silently lost; panics from such teardown runs are swallowed.
+    /// silently lost; panics from such teardown runs are swallowed. The
+    /// drain also runs jobs that those jobs spawn.
     ///
     /// `f` starts with no ambient cancellation token, wherever it runs.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'static,
     {
-        let job = HeapJob::new(move || {
-            // A spawned job is a root of its own. A worker waiting on a
-            // join latch may run it nested inside another job, whose
-            // token (and with it a budget or retry context) must not
-            // leak into it.
-            let _root = cancel::install(None);
-            f()
-        });
-        // SAFETY: the injected JobRef is executed exactly once — by a
-        // worker, or by `Pool::drop`'s teardown drain after every worker
-        // has exited.
-        let job_ref = unsafe { job.into_job_ref() };
-        self.registry.inject(job_ref);
+        spawn_on(&self.registry, f);
     }
 
-    /// Try to reserve one admission slot, under the same shedding rules
-    /// as [`Pool::install`] (in-flight cap, saturation backlog) but
-    /// without counting a refusal in [`PoolStats::sheds`] — a refused
-    /// reservation is expected to stay queued at the caller and retry,
-    /// not to degrade.
-    ///
-    /// The returned token is owned and `Send`: an external scheduler
-    /// (such as `bds-service`'s dispatcher) holds one per dispatched
-    /// request, moves it into the [`Pool::spawn`]ed job, and drops it on
-    /// completion, so pool-level admission applies to asynchronous
-    /// submissions exactly as it does to blocking `install`s.
-    pub fn try_reserve(&self) -> Option<AdmitToken> {
-        self.registry.try_reserve()
+    /// A handle that spawns onto this pool without owning it, for jobs
+    /// that spawn their own successors (see [`Spawner`]).
+    pub fn spawner(&self) -> Spawner {
+        Spawner {
+            registry: Arc::clone(&self.registry),
+        }
     }
 
-    /// Current number of admitted external submissions in flight
-    /// ([`Pool::install`] calls plus live [`AdmitToken`]s). A gauge,
-    /// exact only in quiescence; rises and falls with load and returns
-    /// to zero when the pool is idle — even when submissions panic.
+    /// Current number of admitted [`Pool::install`] calls in flight. A
+    /// gauge, exact only in quiescence; rises and falls with load and
+    /// returns to zero when the pool is idle — even when submissions
+    /// panic.
     pub fn inflight(&self) -> usize {
         self.registry.inflight_count()
     }
@@ -404,6 +383,51 @@ impl Drop for Pool {
             }));
         }
     }
+}
+
+/// Spawns jobs onto a [`Pool`] without owning it; obtained from
+/// [`Pool::spawner`]. A job that holds a spawner can start its own
+/// successor from whichever worker runs it: dropping the spawner joins
+/// nothing, whereas a worker that dropped the last [`Pool`] would have
+/// to join itself.
+///
+/// Spawns land exactly as [`Pool::spawn`]'s do, including the teardown
+/// drain, so a job spawned while the pool is being dropped still runs.
+/// A job spawned after the pool's drop has returned is never run; its
+/// closure leaks.
+#[derive(Clone)]
+pub struct Spawner {
+    registry: Arc<Registry>,
+}
+
+impl Spawner {
+    /// [`Pool::spawn`] through this handle.
+    pub fn spawn<F>(&self, f: F)
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        spawn_on(&self.registry, f);
+    }
+}
+
+/// The body of [`Pool::spawn`] and [`Spawner::spawn`].
+fn spawn_on<F>(registry: &Registry, f: F)
+where
+    F: FnOnce() + Send + 'static,
+{
+    let job = HeapJob::new(move || {
+        // A spawned job is a root of its own. A worker waiting on a
+        // join latch may run it nested inside another job, whose
+        // token (and with it a budget or retry context) must not
+        // leak into it.
+        let _root = cancel::install(None);
+        f()
+    });
+    // SAFETY: the injected JobRef is executed exactly once — by a
+    // worker, or by `Pool::drop`'s teardown drain after every worker
+    // has exited.
+    let job_ref = unsafe { job.into_job_ref() };
+    registry.inject(job_ref);
 }
 
 thread_local! {
@@ -981,8 +1005,14 @@ mod tests {
         // From inside install, the executing worker excludes itself.
         assert_eq!(pool.install(|| pool.live_workers()), 3);
         assert_eq!(pool.install(current_live_workers), 3);
-        // Still quiescent afterwards.
-        assert_eq!(pool.live_workers(), 3);
+        // Quiescent again afterwards. The busy gauge clears just *after*
+        // install's latch is set, so poll briefly rather than assert
+        // instantly.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while pool.live_workers() != 3 {
+            assert!(std::time::Instant::now() < deadline, "gauge never cleared");
+            std::hint::spin_loop();
+        }
     }
 
     #[test]

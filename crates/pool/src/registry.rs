@@ -52,8 +52,7 @@ pub(crate) struct Registry {
     /// External `install`s declined by admission control and degraded
     /// to sequential in-caller execution.
     sheds: AtomicU64,
-    /// External submissions currently admitted (injected or running):
-    /// `install`s plus reservations taken via [`Registry::try_reserve`].
+    /// External `install`s currently admitted (injected or running).
     inflight: AtomicUsize,
     /// Shed `install`s currently running degraded on their caller's
     /// thread. Tracked separately from `inflight` so degraded work does
@@ -255,64 +254,27 @@ impl Registry {
     /// (deterministic) pools never shed — admission decisions depend on
     /// racy gauges, and replay must not.
     pub(crate) fn try_admit(&self) -> Admission<'_> {
-        if self.reserve_slot() {
+        // Seeded pools admit unconditionally (but still track the
+        // gauge). The explicit cap is enforced with a CAS, so `inflight`
+        // never exceeds `max_inflight`: concurrent racers at the boundary
+        // shed instead of overshooting.
+        let cap = match self.seed {
+            Some(_) => usize::MAX,
+            None if self.saturated() => 0,
+            None => self.max_inflight.unwrap_or(usize::MAX),
+        };
+        let admitted = self
+            .inflight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .is_ok();
+        if admitted {
             Admission::Admitted(InflightGuard(self))
         } else {
             self.sheds.fetch_add(1, Ordering::Relaxed);
             self.degraded_inflight.fetch_add(1, Ordering::SeqCst);
             Admission::Shed(ShedGuard(self))
-        }
-    }
-
-    /// Quiet admission probe for external schedulers (`bds-service`'s
-    /// dispatcher): reserve one in-flight slot under the same rules as
-    /// [`Registry::try_admit`], but without counting a refusal as a
-    /// shed — the caller keeps its work queued and retries, it does not
-    /// degrade. The returned token is owned (keeps the registry alive),
-    /// so it can travel into a spawned job and be released on
-    /// completion.
-    pub(crate) fn try_reserve(self: &Arc<Registry>) -> Option<AdmitToken> {
-        self.reserve_slot().then(|| AdmitToken {
-            registry: Arc::clone(self),
-        })
-    }
-
-    /// Try to take one in-flight admission slot. The explicit cap is
-    /// enforced with a CAS loop, so `inflight` never exceeds
-    /// `max_inflight` — concurrent racers at the boundary shed instead
-    /// of overshooting.
-    fn reserve_slot(&self) -> bool {
-        if self.seed.is_some() {
-            // Deterministic pools admit unconditionally (but still
-            // track the gauge).
-            self.inflight.fetch_add(1, Ordering::SeqCst);
-            return true;
-        }
-        if self.saturated() {
-            return false;
-        }
-        match self.max_inflight {
-            None => {
-                self.inflight.fetch_add(1, Ordering::SeqCst);
-                true
-            }
-            Some(max) => {
-                let mut current = self.inflight.load(Ordering::SeqCst);
-                loop {
-                    if current >= max {
-                        return false;
-                    }
-                    match self.inflight.compare_exchange_weak(
-                        current,
-                        current + 1,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => return true,
-                        Err(observed) => current = observed,
-                    }
-                }
-            }
         }
     }
 
@@ -469,28 +431,6 @@ pub(crate) struct ShedGuard<'a>(&'a Registry);
 impl Drop for ShedGuard<'_> {
     fn drop(&mut self) {
         self.0.degraded_inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// An owned in-flight admission slot, handed out by
-/// [`crate::Pool::try_reserve`]. Dropping the token releases the slot.
-///
-/// Unlike the borrow-based guard used by `install`, the token holds the
-/// registry alive, so an external scheduler can move it into a spawned
-/// job and release admission exactly when the job finishes.
-pub struct AdmitToken {
-    registry: Arc<Registry>,
-}
-
-impl Drop for AdmitToken {
-    fn drop(&mut self) {
-        self.registry.inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-impl std::fmt::Debug for AdmitToken {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmitToken").finish_non_exhaustive()
     }
 }
 

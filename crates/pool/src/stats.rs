@@ -182,7 +182,6 @@ pub(crate) struct TenantCounters {
     rejected_queue_full: AtomicU64,
     rejected_deadline: AtomicU64,
     rejected_breaker: AtomicU64,
-    rejected_shutdown: AtomicU64,
     panicked: AtomicU64,
     exceeded: AtomicU64,
     plan_hits: AtomicU64,
@@ -211,7 +210,6 @@ impl TenantCounters {
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
             rejected_breaker: self.rejected_breaker.load(Ordering::Relaxed),
-            rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
             panicked: self.panicked.load(Ordering::Relaxed),
             exceeded: self.exceeded.load(Ordering::Relaxed),
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
@@ -269,11 +267,6 @@ impl TenantSlot {
         WorkerCounters::bump(&self.0.rejected_breaker);
     }
 
-    /// A submission was refused because the front-end is shutting down.
-    pub fn note_rejected_shutdown(&self) {
-        WorkerCounters::bump(&self.0.rejected_shutdown);
-    }
-
     /// An admitted request's closure panicked (also counted in
     /// `completed`: the panic was delivered as a typed response).
     pub fn note_panicked(&self) {
@@ -327,8 +320,6 @@ pub struct TenantStats {
     pub rejected_deadline: u64,
     /// Submissions refused: circuit breaker open.
     pub rejected_breaker: u64,
-    /// Submissions refused: front-end shutting down.
-    pub rejected_shutdown: u64,
     /// Admitted requests whose closure panicked.
     pub panicked: u64,
     /// Admitted requests that tripped their budget.
@@ -353,10 +344,7 @@ impl TenantStats {
 
     /// Submissions refused for any reason.
     pub fn rejected(&self) -> u64 {
-        self.rejected_queue_full
-            + self.rejected_deadline
-            + self.rejected_breaker
-            + self.rejected_shutdown
+        self.rejected_queue_full + self.rejected_deadline + self.rejected_breaker
     }
 
     fn saturating_sub(&self, other: &TenantStats) -> TenantStats {
@@ -374,9 +362,6 @@ impl TenantStats {
             rejected_breaker: self
                 .rejected_breaker
                 .saturating_sub(other.rejected_breaker),
-            rejected_shutdown: self
-                .rejected_shutdown
-                .saturating_sub(other.rejected_shutdown),
             panicked: self.panicked.saturating_sub(other.panicked),
             exceeded: self.exceeded.saturating_sub(other.exceeded),
             plan_hits: self.plan_hits.saturating_sub(other.plan_hits),
@@ -520,10 +505,9 @@ mod tests {
             rejected_queue_full: 1,
             rejected_deadline: 2,
             rejected_breaker: 3,
-            rejected_shutdown: 4,
             ..Default::default()
         };
-        assert_eq!(t.rejected(), 10);
+        assert_eq!(t.rejected(), 6);
     }
 
     #[test]

@@ -175,36 +175,6 @@ fn admitted_panic_decrements_inflight() {
 }
 
 #[test]
-fn try_reserve_respects_cap_and_does_not_count_sheds() {
-    let pool = Pool::with_max_inflight(2, 2);
-    let a = pool.try_reserve().expect("slot 1");
-    let b = pool.try_reserve().expect("slot 2");
-    assert!(pool.try_reserve().is_none(), "cap must refuse a third slot");
-    // A refused reservation is not a shed: the caller retries, it does
-    // not degrade.
-    assert_eq!(pool.stats().sheds, 0);
-    assert_eq!(pool.inflight(), 2);
-    drop(a);
-    assert_eq!(pool.inflight(), 1);
-    let c = pool.try_reserve().expect("slot freed by drop");
-    drop(b);
-    drop(c);
-    assert_eq!(pool.inflight(), 0);
-}
-
-#[test]
-fn reserve_and_install_share_the_cap() {
-    let pool = Pool::with_max_inflight(2, 1);
-    let token = pool.try_reserve().expect("the only slot");
-    // The install sees a full cap and sheds.
-    let degraded = pool.install(bds_pool::running_degraded);
-    assert!(degraded, "install should shed while a reservation holds the slot");
-    drop(token);
-    let degraded = pool.install(bds_pool::running_degraded);
-    assert!(!degraded, "slot released: install should be admitted again");
-}
-
-#[test]
 fn spawned_jobs_run_and_wake_latches() {
     use bds_pool::{AsyncLatch, Latch};
     use std::sync::Arc;
@@ -225,6 +195,32 @@ fn spawned_jobs_run_and_wake_latches() {
         latch.wait();
     }
     assert_eq!(hits.load(Ordering::SeqCst), 64);
+}
+
+/// A job can spawn its successor through a `Spawner`, and dropping the
+/// pool still runs the whole chain: a worker exits only once it finds
+/// no work, and the teardown drain runs whatever the workers left,
+/// including jobs spawned by drained jobs.
+#[test]
+fn chains_of_spawned_jobs_finish_before_drop_returns() {
+    use bds_pool::Spawner;
+    use std::sync::Arc;
+
+    fn link(spawner: Spawner, left: usize, ran: Arc<AtomicUsize>) {
+        ran.fetch_add(1, Ordering::SeqCst);
+        if left > 0 {
+            let next = spawner.clone();
+            spawner.spawn(move || link(next, left - 1, ran));
+        }
+    }
+
+    let ran = Arc::new(AtomicUsize::new(0));
+    {
+        let pool = Pool::new(2);
+        let (spawner, ran) = (pool.spawner(), Arc::clone(&ran));
+        pool.spawn(move || link(spawner, 999, ran));
+    }
+    assert_eq!(ran.load(Ordering::SeqCst), 1000);
 }
 
 #[test]

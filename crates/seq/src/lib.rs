@@ -110,7 +110,6 @@ pub mod governed;
 pub mod policy;
 pub mod profile;
 pub mod scan;
-pub mod service;
 pub mod simd;
 pub mod sources;
 pub mod stream;
@@ -134,7 +133,6 @@ pub use policy::{
 };
 pub use profile::{profile, profile_on, ProfileReport, Stage, StageReport};
 pub use scan::{Scanned, ScannedIncl};
-pub use service::ServiceExt;
 pub use simd::{force_level, SimdLevel, SimdLevelGuard};
 pub use sources::{empty, from_slice, range, repeat, tabulate, Forced, FromSlice, Tabulate};
 pub use stream::IndexedStream;
@@ -145,7 +143,6 @@ pub mod prelude {
     pub use crate::fallible::TrySeqExt;
     pub use crate::flatten::flatten;
     pub use crate::governed::GovernedExt;
-    pub use crate::service::ServiceExt;
     pub use crate::sources::{empty, from_slice, range, repeat, tabulate};
     pub use crate::traits::{RadSeq, Seq};
 }

@@ -31,11 +31,13 @@
 //! ```
 //!
 //! The two error channels are deliberately distinct: [`Rejected`] means
-//! the request was refused *before* any work ran (retry it — see
-//! [`Service::submit_with_retry`]); [`ServiceError`] arrives *through
-//! the ticket* and means the request ran but produced no value (budget
-//! trip or panic). There is no third outcome: no lost tickets, no
-//! duplicated deliveries, no partial results.
+//! the request was refused *before* any work ran (the caller may submit
+//! it again); [`ServiceError`] arrives *through the ticket* and means
+//! the request ran but produced no value (budget trip or panic). There
+//! is no third outcome: no lost tickets, no duplicated deliveries, no
+//! partial results. Faults inside a request are retried per block
+//! under a tenant's [`RetryPolicy`](bds_pool::RetryPolicy) (see
+//! [`Service::set_tenant_retry`]).
 
 #![warn(missing_docs)]
 
