@@ -86,14 +86,20 @@ impl Driver<'_> {
     /// (>10x) above what the host can reduce inside the deadline, or
     /// the leg races its own completion: complete-result-wins would
     /// legitimately return `Ok` just under the wire, and near-complete
-    /// runs drag the cancellation observation past the 2x bound.
+    /// runs drag the cancellation observation past the 2x bound. The
+    /// index is passed through `black_box` for the same reason: the
+    /// drive loop's counted pull lets the optimizer fold a pure index
+    /// function a chunk at a time in closed form, which would finish
+    /// the whole input inside the deadline.
     fn deadline_leg(&self, pool: &Pool) {
         let started = Instant::now();
         let r = pool.install(|| {
-            tabulate(2_000_000_000usize, |i| (i as u64).wrapping_mul(31).wrapping_add(7))
-                .reduce_governed(Budget::unlimited().with_deadline(DEADLINE), 0, |a, b| {
-                    a.wrapping_add(b)
-                })
+            tabulate(2_000_000_000usize, |i| {
+                std::hint::black_box(i as u64).wrapping_mul(31).wrapping_add(7)
+            })
+            .reduce_governed(Budget::unlimited().with_deadline(DEADLINE), 0, |a, b| {
+                a.wrapping_add(b)
+            })
         });
         let elapsed = started.elapsed();
         if r != Err(Exceeded::Deadline) {

@@ -288,20 +288,26 @@ pub fn is_cancellation(payload: &(dyn Any + Send)) -> bool {
     payload.is::<Cancelled>()
 }
 
-/// Amortized per-element cancellation poll for long sequential loops.
+/// Amortized cancellation poll for long sequential loops.
 ///
 /// The loop primitives only observe a [`CancelToken`] at block
 /// boundaries, so a single huge block (a forced geometry, a `flatten`
 /// region spanning many segments, a scan's sequential phase) could run
-/// for an unbounded time after cancellation. Leaf element iterators
-/// embed a `PollTicker` and call [`tick`](PollTicker::tick) once per
-/// element: every [`INTERVAL`](PollTicker::INTERVAL) elements it checks
-/// the ambient token and abandons the region via [`abort_region`] if
+/// for an unbounded time after cancellation. A loop that walks a block
+/// owns a `PollTicker` and counts the elements it consumes: every
+/// [`INTERVAL`](PollTicker::INTERVAL) elements the ticker checks the
+/// ambient token and abandons the region via [`abort_region`] if
 /// cancellation was requested — bounding cancellation latency by one
 /// poll chunk regardless of block geometry.
 ///
-/// The common path is a single decrement-and-branch; the thread-local
-/// token read happens once per `INTERVAL` elements.
+/// In `bds-seq` the owners are the drive loops, not the element
+/// iterators: a loop pulls each block at most `INTERVAL` elements at a
+/// time and calls [`tick_n`](PollTicker::tick_n) once per chunk, so the
+/// thread-local token read happens once per chunk and the per-element
+/// path carries no ticker at all. The chunked and SIMD kernels do the
+/// same; per-element [`tick`](PollTicker::tick) is for loops that
+/// cannot count ahead (a `flatten` region stepping over empty inner
+/// sequences).
 #[derive(Debug, Clone)]
 pub struct PollTicker {
     left: u32,
@@ -309,12 +315,13 @@ pub struct PollTicker {
 
 /// Cancellation polls performed by every [`PollTicker`] in the process
 /// since the last [`reset_ticker_polls`]. One relaxed increment per
-/// [`PollTicker::INTERVAL`] elements — cheap enough to keep on
+/// [`PollTicker::INTERVAL`] counted elements — cheap enough to keep on
 /// unconditionally, and deterministic for a fixed block geometry (each
-/// block iterator owns a fresh ticker, so the count is a pure function
-/// of the block lengths, independent of scheduling). The parity tests
-/// use it to assert that different instantiations of the stream core
-/// poll identically.
+/// block's loop owns a fresh ticker, so the count is a pure function
+/// of the block lengths, independent of scheduling). In `bds-seq` that
+/// is one poll per `INTERVAL` consumed elements per block, whatever the
+/// shape of the stream. The parity tests use it to assert that
+/// different instantiations of the stream core poll identically.
 static TICKER_POLLS: AtomicU64 = AtomicU64::new(0);
 
 /// Total ambient-token polls by all `PollTicker`s since the last
@@ -356,8 +363,9 @@ impl PollTicker {
     }
 
     /// Count `n` elements at once — the bulk counterpart of
-    /// [`tick`](Self::tick) for kernels that process a whole chunk of
-    /// elements between polls (the SIMD fast paths in `bds-seq`).
+    /// [`tick`](Self::tick) for loops that process a whole chunk of
+    /// elements between polls (the drive loops and the SIMD fast paths
+    /// in `bds-seq`).
     ///
     /// Equivalent to `n` calls to `tick` except that crossing several
     /// poll boundaries in one bulk step polls the ambient token once,

@@ -118,8 +118,8 @@ fn child_cancel_stays_contained_under_concurrency() {
     });
 }
 
-/// The stream core's drive-loop cancellation contract: a leaf
-/// `PollTicker` streaming INTERVAL-element chunks inside a cancelled
+/// The stream core's drive-loop cancellation contract: a drive loop's
+/// `PollTicker` pulling INTERVAL-element chunks inside a cancelled
 /// region must abandon it via the sentinel panic at the first poll
 /// boundary that observes the cancel — never keep streaming past it,
 /// and never "observe" a cancel that the canceller has not yet

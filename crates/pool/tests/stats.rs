@@ -55,9 +55,17 @@ fn per_worker_snapshots_cover_all_workers() {
 #[test]
 fn reset_isolates_install_regions() {
     let pool = Pool::new(2);
-    churn(&pool, 2000);
+    // The first region is many separate installs of one injected job
+    // each, so its job count does not depend on whether the second
+    // worker wakes up to steal (one `churn` could run almost entirely
+    // on one worker), and it is larger than anything the second
+    // region's 100-index `apply` can split into.
+    const INSTALLS: u64 = 1000;
+    for _ in 0..INSTALLS {
+        pool.install(|| std::hint::black_box(0u64));
+    }
     let first = pool.stats().total();
-    assert!(first.jobs_executed > 0);
+    assert_eq!(first.jobs_executed, INSTALLS, "one job per install");
 
     // Quiescent: install has returned, so all jobs are done. Reset and
     // verify a clean slate...

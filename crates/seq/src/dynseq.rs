@@ -23,43 +23,11 @@ use crate::policy::block_size;
 use crate::stream::{self, IndexedStream};
 use crate::util::scan_sequential;
 
-/// A boxed block stream.
+/// A boxed block stream. Like the static leaf streams it polls
+/// nothing: every `DSeq` consumer runs one of the drive loops in
+/// [`crate::stream`], which poll the ambient cancellation token once
+/// per chunk of the block they pull.
 pub type DynStream<T> = Box<dyn Iterator<Item = T> + Send>;
-
-/// Leaf-stream adaptor that polls the ambient [`bds_pool::CancelToken`]
-/// every [`bds_pool::PollTicker::INTERVAL`] elements. Every stream a
-/// `DSeq` hands out bottoms out in one of these (either wrapping a
-/// RAD's index walk or inside [`RegionStream`]), so cancellation —
-/// including governed deadline/memory trips — is observed within one
-/// poll chunk even for huge blocks.
-struct Ticked<I> {
-    inner: I,
-    ticker: bds_pool::PollTicker,
-}
-
-impl<I> Ticked<I> {
-    fn new(inner: I) -> Self {
-        Ticked {
-            inner,
-            ticker: bds_pool::PollTicker::new(),
-        }
-    }
-}
-
-impl<I: Iterator> Iterator for Ticked<I> {
-    type Item = I::Item;
-
-    #[inline]
-    fn next(&mut self) -> Option<I::Item> {
-        let x = self.inner.next()?;
-        self.ticker.tick();
-        Some(x)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
 
 type IndexFn<T> = Arc<dyn Fn(usize) -> T + Send + Sync>;
 type BlockFn<T> = Arc<dyn Fn(usize) -> DynStream<T> + Send + Sync>;
@@ -208,7 +176,7 @@ impl<T: Send + Sync + Clone + 'static> DSeq<T> {
                         let lo = offset + j * bs;
                         let hi = offset + ((j + 1) * bs).min(len);
                         let f = Arc::clone(&f);
-                        Box::new(Ticked::new((lo..hi).map(move |i| f(i))))
+                        Box::new((lo..hi).map(move |i| f(i)))
                     }),
                 }
             }
@@ -254,7 +222,7 @@ impl<T: Send + Sync + Clone + 'static> DSeq<T> {
                     let lo = offset + j * bs;
                     let hi = offset + ((j + 1) * bs).min(len);
                     let f = Arc::clone(&f);
-                    Box::new(Ticked::new((lo..hi).map(move |i| f(i))))
+                    Box::new((lo..hi).map(move |i| f(i)))
                 }),
             },
         }
@@ -684,8 +652,10 @@ impl<T: Send + Sync + Clone + 'static> DSeq<T> {
 }
 
 /// `getRegion` stream over `Arc`-shared parts (owned flavor of
-/// [`crate::flatten::RegionIter`]). Polls cancellation per element
-/// chunk, like its static counterpart: one region can span many parts.
+/// [`crate::flatten::RegionIter`]). Like its static counterpart it
+/// ticks its own [`bds_pool::PollTicker`] on each step to the next
+/// part, the one move that yields no element: one region can span many
+/// empty parts.
 struct RegionStream<T> {
     parts: Arc<Vec<Vec<T>>>,
     part: usize,
@@ -701,7 +671,6 @@ impl<T: Clone> Iterator for RegionStream<T> {
         if self.remaining == 0 {
             return None;
         }
-        self.ticker.tick();
         loop {
             let part = self.parts.get(self.part)?;
             if self.within < part.len() {
@@ -712,6 +681,7 @@ impl<T: Clone> Iterator for RegionStream<T> {
             }
             self.part += 1;
             self.within = 0;
+            self.ticker.tick();
         }
     }
 }

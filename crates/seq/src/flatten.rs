@@ -109,11 +109,12 @@ where
 /// a binary-searched (inner, within) position and streams `remaining`
 /// elements across adjacent inner sequences, skipping empties.
 ///
-/// The walk polls the ambient [`bds_pool::CancelToken`] every
-/// [`bds_pool::PollTicker::INTERVAL`] elements: a region can span many
-/// inner segments (and, under forced geometry, the whole flatten), so
-/// without a per-chunk poll point cancellation would only be observed
-/// at the *block* boundary — unbounded latency for one long region.
+/// The drive loop that pulls the walk polls once per chunk of
+/// *elements*, but stepping to the next inner yields no element: a
+/// region over many empty inners could otherwise run unpolled for as
+/// long as it likes. So the walk ticks its own
+/// [`bds_pool::PollTicker`] on each step to the next inner, and on
+/// nothing else.
 pub struct RegionIter<'s, Inner: RadSeq> {
     inners: &'s [Inner],
     part: usize,
@@ -130,7 +131,6 @@ impl<'s, Inner: RadSeq> Iterator for RegionIter<'s, Inner> {
         if self.remaining == 0 {
             return None;
         }
-        self.ticker.tick();
         loop {
             let inner = self.inners.get(self.part)?;
             if self.within < inner.len() {
@@ -141,6 +141,7 @@ impl<'s, Inner: RadSeq> Iterator for RegionIter<'s, Inner> {
             }
             self.part += 1;
             self.within = 0;
+            self.ticker.tick();
         }
     }
 

@@ -7,10 +7,11 @@
 //! extent of the consumer, a shared watchdog thread cancels the token
 //! when the deadline passes, and materializing consumers charge their
 //! allocations against the memory budget (see `PartialVec` in this
-//! crate). Cancellation is cooperative — leaf block streams poll every
-//! [`bds_pool::PollTicker::INTERVAL`] elements — so a governed run stops
-//! within one poll chunk per worker, unwinds, drops everything it
-//! materialized, and returns `Err`.
+//! crate). Cancellation is cooperative — the drive loops in
+//! [`crate::stream`] poll once per [`bds_pool::PollTicker::INTERVAL`]
+//! elements of the block they pull — so a governed run stops within one
+//! poll chunk per worker, unwinds, drops everything it materialized, and
+//! returns `Err`.
 //!
 //! Two rules worth knowing:
 //!

@@ -34,7 +34,8 @@
 //!   most [`CHUNK`] (= [`bds_pool::PollTicker::INTERVAL`]) elements and
 //!   calls [`bds_pool::PollTicker::tick_n`] between chunks, so the
 //!   cooperative-cancellation latency bound (poll at least once per
-//!   1024 elements) is identical to the scalar streams.
+//!   1024 elements) is identical to the drive loops of
+//!   [`crate::stream`], which pull block streams the same way.
 //! * **Fault injection** — the `try_` drivers poll
 //!   [`crate::faults::poll`] once per chunk, *on the scalar and the
 //!   SIMD path alike*: both legs of a differential check traverse the

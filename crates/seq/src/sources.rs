@@ -26,17 +26,13 @@ where
 }
 
 /// Block stream of a [`Tabulate`]: applies the index function across a
-/// contiguous index range.
-///
-/// Embeds a [`bds_pool::PollTicker`]: leaf iterators are where long
-/// sequential block bodies spend their time, so polling here bounds
-/// cancellation latency by one poll chunk even under forced or huge
-/// block geometries.
+/// contiguous index range. It polls nothing: the drive loop that pulls
+/// it polls the ambient cancellation token once per chunk
+/// ([`crate::stream`]).
 pub struct TabulateBlock<'s, F> {
     f: &'s F,
     next: usize,
     end: usize,
-    ticker: bds_pool::PollTicker,
 }
 
 impl<'s, T, F> Iterator for TabulateBlock<'s, F>
@@ -50,7 +46,6 @@ where
         if self.next >= self.end {
             return None;
         }
-        self.ticker.tick();
         let x = (self.f)(self.next);
         self.next += 1;
         Some(x)
@@ -83,7 +78,6 @@ where
             f: &self.f,
             next: lo,
             end: hi,
-            ticker: bds_pool::PollTicker::new(),
         }
     }
 }
@@ -117,16 +111,14 @@ fn slice_block<T>(data: &[T], j: usize, bs: usize) -> SliceBlock<'_, T> {
     let (lo, hi) = block_bounds(data.len(), bs, j);
     SliceBlock {
         inner: data[lo..hi].iter(),
-        ticker: bds_pool::PollTicker::new(),
     }
 }
 
 /// Block stream of a slice-backed sequence; counts element reads when the
-/// `counters` feature is on. Polls the ambient cancellation token every
-/// [`bds_pool::PollTicker::INTERVAL`] elements.
+/// `counters` feature is on. Like every leaf stream it polls nothing;
+/// the drive loop that pulls it does.
 pub struct SliceBlock<'s, T> {
     inner: std::slice::Iter<'s, T>,
-    ticker: bds_pool::PollTicker,
 }
 
 impl<'s, T: Clone> Iterator for SliceBlock<'s, T> {
@@ -135,7 +127,6 @@ impl<'s, T: Clone> Iterator for SliceBlock<'s, T> {
     #[inline]
     fn next(&mut self) -> Option<T> {
         let x = self.inner.next()?;
-        self.ticker.tick();
         counters::count_reads(1);
         Some(x.clone())
     }

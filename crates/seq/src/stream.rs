@@ -43,8 +43,11 @@
 //!    `crate::util::charge_elems`.
 //! 5. **The block loop** — [`bds_pool::apply`] (or
 //!    [`bds_pool::apply_cancellable`] for the fallible drivers) streams
-//!    each block exactly once into its output slot, with the overflow/
-//!    underflow asserts that make the disjoint parallel writes safe.
+//!    each block exactly once into its output slot. The loop pulls
+//!    exactly the block's length, a chunk at a time, polling for
+//!    cancellation once per chunk (below); a block that runs dry early
+//!    or yields past its end panics, which is what makes the disjoint
+//!    parallel writes safe.
 //!    Every block body runs under [`bds_pool::recover_block`]
 //!    ([`bds_pool::recover_effect_block`] for the side-effecting
 //!    `for_each` loops): when an enclosing
@@ -54,12 +57,24 @@
 //!    already-reserved region — geometry is solved once, before the
 //!    loop, so a retried run is bit-identical to an unfaulted one.
 //!
-//! Cancellation polling is *not* repeated here: the leaf element
-//! iterators of every instantiation embed a
-//! [`bds_pool::PollTicker`] and tick once per element. The drive loop's
-//! contract is that exactly one ticker ticks per element — never zero,
-//! never two — which `tests/stream_parity.rs` pins down by comparing
-//! [`bds_pool::ticker_polls`] counts across instantiations.
+//! # Cancellation polling
+//!
+//! The drive loops are the one place that polls the ambient
+//! [`bds_pool::CancelToken`] inside a block. The geometry gives every
+//! block's exact length, so a loop pulls block `j` `min(left, CHUNK)`
+//! elements at a time with a counted loop and calls
+//! [`bds_pool::PollTicker::tick_n`] once per chunk: cancellation lands
+//! within one [`simd::CHUNK`] of elements, however large the block. The
+//! leaf element iterators hold no ticker, so a k-way zip polls exactly
+//! as often as a single source, and [`bds_pool::ticker_polls`] counts
+//! one poll per `CHUNK` consumed elements per block in every
+//! instantiation (`tests/stream_parity.rs` compares the counts). The
+//! one move a block stream can make without yielding an element is a
+//! `flatten` region stepping to its next inner sequence, so the region
+//! walks ([`crate::flatten::RegionIter`] and the dynamic lowering's
+//! copy) tick their own ticker on each such step. A caller that
+//! iterates [`Seq::block`] itself, outside these loops, gets no
+//! polling.
 //!
 //! # Chunked streams
 //!
@@ -70,9 +85,9 @@
 //! may come up short when a stage inside them drops elements. The
 //! chunked drive loops ([`reduce_chunked`], [`count_chunked`],
 //! [`to_vec_chunked`], [`block_folds`]) run the same per-block
-//! protocol over the same block loops; the stream ticks its ticker
-//! once per chunk (`tick_n`), which polls at the same element counts as
-//! one tick per element.
+//! protocol over the same block loops. A chunked stream already works a
+//! chunk at a time, so it polls itself: it ticks its own ticker once per
+//! chunk it produces (`tick_n`).
 //!
 //! SIMD chunk dispatch lives in the chunked drivers ([`try_sum_chunked`]):
 //! they regroup block streams into [`crate::simd::CHUNK`]-element
@@ -82,9 +97,11 @@
 //! every instantiation and identical to the slice kernels in
 //! [`crate::simd`].
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use bds_cost::{ElemCost, SIMPLE};
+use bds_pool::PollTicker;
 
 use crate::counters;
 use crate::policy;
@@ -104,9 +121,10 @@ use crate::util::{build_vec, charge_elems, scan_sequential, BlockWriter, Partial
 /// The contract mirrors the [`Seq`] block invariant: for the block size
 /// `bs` a drive loop solved (the fixed one, if any), block `j` yields
 /// exactly `min(bs, len - j*bs)` elements, in order, and the
-/// concatenation of all `ceil(len/bs)` blocks is the sequence. Leaf
-/// iterators are responsible for their own [`bds_pool::PollTicker`]
-/// ticks (one per element).
+/// concatenation of all `ceil(len/bs)` blocks is the sequence. Block
+/// streams do not poll for cancellation: the drive loops pull each
+/// block a chunk at a time and poll once per chunk (see the module
+/// docs).
 pub trait IndexedStream: Sync {
     /// Element type.
     type Item: Send;
@@ -225,6 +243,117 @@ fn record(stage: Stage, g: Geometry) {
 }
 
 // ---------------------------------------------------------------------
+// The counted pull: where cancellation is polled
+// ---------------------------------------------------------------------
+
+/// Block `j`'s element stream as a drive loop consumes it.
+///
+/// The geometry gives the block's exact length, so the loop pulls
+/// `min(left, CHUNK)` elements with a counted loop and calls
+/// [`PollTicker::tick_n`] once per chunk: one poll per
+/// [`simd::CHUNK`] elements whatever the shape of the stream (a k-way
+/// zip polls as often as a single source). The leaf iterators hold no
+/// ticker. Pulling exactly the block's length also checks the block
+/// invariant: a block that runs dry early panics (underflow), and one
+/// that still yields after its last element panics (overflow).
+struct Pull<I> {
+    it: I,
+    left: usize,
+    ticker: PollTicker,
+}
+
+fn pull<S: IndexedStream + ?Sized>(s: &S, g: Geometry, j: usize) -> Pull<S::Block<'_>> {
+    let (lo, hi) = block_bounds(g.len, g.bs, j);
+    Pull {
+        it: s.stream_block(j, g.bs),
+        left: hi - lo,
+        ticker: PollTicker::new(),
+    }
+}
+
+/// Does `it` still yield? The overflow check after a block's counted
+/// pull. Kept out of line so that the pull loop is the one call site of
+/// the block stream's `next` that the optimizer inlines into.
+#[cold]
+#[inline(never)]
+fn yields<I: Iterator>(it: &mut I) -> bool {
+    it.next().is_some()
+}
+
+impl<I: Iterator> Pull<I> {
+    #[inline]
+    fn next_elem(&mut self) -> I::Item {
+        self.it
+            .next()
+            .expect("Seq invariant violated: block underflow")
+    }
+
+    /// Fold the rest of the block, a chunk at a time, stopping at the
+    /// first `Err`.
+    #[inline]
+    fn try_fold<A, E>(
+        mut self,
+        mut acc: A,
+        mut f: impl FnMut(A, I::Item) -> Result<A, E>,
+    ) -> Result<A, E> {
+        while self.left > 0 {
+            let c = self.left.min(simd::CHUNK);
+            for _ in 0..c {
+                let x = self.next_elem();
+                acc = f(acc, x)?;
+            }
+            self.left -= c;
+            self.ticker.tick_n(c);
+        }
+        assert!(
+            !yields(&mut self.it),
+            "Seq invariant violated: block overflow"
+        );
+        Ok(acc)
+    }
+
+    /// Fold the rest of the block, a chunk at a time.
+    #[inline]
+    fn fold<A>(self, init: A, mut f: impl FnMut(A, I::Item) -> A) -> A {
+        match self.try_fold(init, |a, x| Ok::<A, Infallible>(f(a, x))) {
+            Ok(a) => a,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Feed the rest of the block to `f`, a chunk at a time.
+    #[inline]
+    fn for_each(self, mut f: impl FnMut(I::Item)) {
+        self.fold((), |(), x| f(x));
+    }
+
+    /// Fold the block seeded by its first element (reduce, scan phase
+    /// 1, `max_by_key`), stopping at the first `Err`. The seed counts
+    /// as a chunk of one, so the block still polls once per `CHUNK`
+    /// elements.
+    #[inline]
+    fn try_fold_first<E>(
+        mut self,
+        f: impl FnMut(I::Item, I::Item) -> Result<I::Item, E>,
+    ) -> Result<I::Item, E> {
+        assert!(self.left > 0, "Seq invariant violated: empty block");
+        let first = self.next_elem();
+        self.left -= 1;
+        self.ticker.tick_n(1);
+        self.try_fold(first, f)
+    }
+
+    /// [`try_fold_first`](Self::try_fold_first) for an infallible fold.
+    #[inline]
+    fn fold_first(self, mut f: impl FnMut(I::Item, I::Item) -> I::Item) -> I::Item {
+        match self.try_fold_first(|a, x| Ok::<I::Item, Infallible>(f(a, x))) {
+            Ok(a) => a,
+            Err(never) => match never {},
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // The shared block loops (step 5)
 // ---------------------------------------------------------------------
 
@@ -238,10 +367,10 @@ fn record(stage: Stage, g: Geometry) {
 fn visit_blocks<S, F>(s: &S, g: Geometry, f: F)
 where
     S: IndexedStream + ?Sized,
-    F: Fn(usize, S::Block<'_>) + Send + Sync,
+    F: Fn(usize, Pull<S::Block<'_>>) + Send + Sync,
 {
     bds_pool::apply(g.nb, |j| {
-        bds_pool::recover_effect_block(j, || f(j, s.stream_block(j, g.bs)))
+        bds_pool::recover_effect_block(j, || f(j, pull(s, g, j)))
     });
 }
 
@@ -252,9 +381,9 @@ fn per_block<S, T, F>(s: &S, g: Geometry, f: F) -> Vec<T>
 where
     S: IndexedStream + ?Sized,
     T: Send,
-    F: Fn(usize, S::Block<'_>) -> T + Send + Sync,
+    F: Fn(Pull<S::Block<'_>>) -> T + Send + Sync,
 {
-    blockwise(g, |j| f(j, s.stream_block(j, g.bs)))
+    blockwise(g, |j| f(pull(s, g, j)))
 }
 
 /// The block loop under [`per_block`]: run `body(j)` for every block
@@ -284,42 +413,30 @@ where
     S: IndexedStream + ?Sized,
     T: Send,
     E: Send,
-    F: Fn(usize, S::Block<'_>) -> Result<T, E> + Send + Sync,
+    F: Fn(Pull<S::Block<'_>>) -> Result<T, E> + Send + Sync,
 {
     let pv = PartialVec::new(g.nb);
     bds_pool::apply_cancellable(g.nb, |j| {
         // Retry wraps only panic faults; an `Err` return is a result,
         // not a fault, and short-circuits the region unretried.
         bds_pool::recover_block(j, || {
-            pv.writer(j).push(f(j, s.stream_block(j, g.bs))?);
+            pv.writer(j).push(f(pull(s, g, j))?);
             Ok(())
         })
     })?;
     Ok(pv.finish())
 }
 
-/// Block `j`'s region of a materialization: a writer that refuses to
-/// run past the block's end.
-struct Region<'p, T: Send> {
-    w: BlockWriter<'p, T>,
-    room: usize,
-}
-
-impl<T: Send> Region<'_, T> {
-    #[inline]
-    fn push(&mut self, x: T) {
-        assert!(self.w.count() < self.room, "Seq invariant violated: block overflow");
-        self.w.push(x);
-    }
-}
-
 /// Materialize: every block `fill`s its slot of one fresh
-/// (budget-charged) buffer. The asserts turn a broken block-length
-/// invariant into a panic instead of an unsound write.
+/// (budget-charged) buffer through a writer at the slot's start. `fill`
+/// must not write past its block's end (the counted pull cannot; the
+/// chunked fill checks each chunk), and the underflow assert catches a
+/// block that wrote too little, so a broken block-length invariant is a
+/// panic instead of an unsound write.
 fn materialize<T, F>(g: Geometry, fill: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, &mut Region<'_, T>) + Sync,
+    F: Fn(usize, &mut BlockWriter<'_, T>) + Sync,
 {
     build_vec(g.len, |pv| {
         bds_pool::apply(g.nb, |j| {
@@ -328,12 +445,13 @@ where
             // re-streams the whole block into its untouched region.
             bds_pool::recover_block(j, || {
                 let (lo, hi) = block_bounds(g.len, g.bs, j);
-                let mut r = Region {
-                    w: pv.writer(lo),
-                    room: hi - lo,
-                };
-                fill(j, &mut r);
-                assert_eq!(r.w.count(), r.room, "Seq invariant violated: block underflow");
+                let mut w = pv.writer(lo);
+                fill(j, &mut w);
+                assert_eq!(
+                    w.count(),
+                    hi - lo,
+                    "Seq invariant violated: block underflow"
+                );
             });
         });
     })
@@ -351,14 +469,13 @@ where
     let pv = PartialVec::new(g.len);
     bds_pool::apply_cancellable(g.nb, |j| {
         bds_pool::recover_block(j, || {
-            let (lo, hi) = block_bounds(g.len, g.bs, j);
+            // The counted pull writes exactly the block's length.
+            let (lo, _) = block_bounds(g.len, g.bs, j);
             let mut w = pv.writer(lo);
-            for x in s.stream_block(j, g.bs) {
-                assert!(lo + w.count() < hi, "Seq invariant violated: block overflow");
+            pull(s, g, j).try_fold((), |(), x| {
                 w.push(f(x)?);
-            }
-            assert_eq!(lo + w.count(), hi, "Seq invariant violated: block underflow");
-            Ok(())
+                Ok(())
+            })
         })
     })?;
     Ok(pv.finish())
@@ -384,10 +501,7 @@ where
     // One combine per element downstream of the delayed work.
     let g = solve(s, SIMPLE);
     record(Stage::Reduce, g);
-    let sums = per_block(s, g, |_, mut stream| {
-        let first = stream.next().expect("Seq invariant violated: empty block");
-        stream.fold(first, combine)
-    });
+    let sums = per_block(s, g, |p| p.fold_first(combine));
     counters::count_reads(sums.len());
     sums.into_iter().fold(zero, combine)
 }
@@ -402,11 +516,7 @@ where
     let _span = profile::span(Stage::ForEach);
     let g = solve(s, SIMPLE);
     record(Stage::ForEach, g);
-    visit_blocks(s, g, |_, stream| {
-        for x in stream {
-            f(x);
-        }
-    });
+    visit_blocks(s, g, |_, p| p.for_each(f));
 }
 
 /// Apply `f(i, x)` to every element with its global index.
@@ -418,11 +528,12 @@ where
     let _span = profile::span(Stage::ForEach);
     let g = solve(s, SIMPLE);
     record(Stage::ForEach, g);
-    visit_blocks(s, g, |j, stream| {
+    visit_blocks(s, g, |j, p| {
         let (lo, _) = block_bounds(g.len, g.bs, j);
-        for (k, x) in stream.enumerate() {
-            f(lo + k, x);
-        }
+        p.fold(lo, |i, x| {
+            f(i, x);
+            i + 1
+        });
     });
 }
 
@@ -437,11 +548,7 @@ where
     if g.len > 0 {
         record(Stage::Force, g);
     }
-    materialize(g, |j, r| {
-        for x in s.stream_block(j, g.bs) {
-            r.push(x);
-        }
-    })
+    materialize(g, |j, w| pull(s, g, j).for_each(|x| w.push(x)))
 }
 
 /// Count the elements satisfying `pred`, two-phase like [`reduce`].
@@ -456,7 +563,7 @@ where
     let _span = profile::span(Stage::Count);
     let g = solve(s, SIMPLE);
     record(Stage::Count, g);
-    let sums = per_block(s, g, |_, stream| stream.filter(|x| pred(x)).count());
+    let sums = per_block(s, g, |p| p.fold(0, |n, x| n + usize::from(pred(&x))));
     sums.into_iter().sum()
 }
 
@@ -479,11 +586,9 @@ where
     if g.nb > 0 {
         record(Stage::FilterEager, g);
     }
-    per_block(s, g, |_, stream| {
+    per_block(s, g, |p| {
         let mut kept: Vec<U> = Vec::new();
-        for x in stream {
-            keep(x, &mut kept);
-        }
+        p.for_each(|x| keep(x, &mut kept));
         // Survivors are the filter's real allocation; charge them
         // against the ambient memory budget (abandons the region on
         // exhaustion — the survivor vec is dropped normally).
@@ -512,10 +617,7 @@ where
     }
     let _span = profile::span(Stage::ScanEager);
     record(Stage::ScanEager, g);
-    let sums = per_block(s, g, |_, mut stream| {
-        let first = stream.next().expect("Seq invariant violated: empty block");
-        stream.fold(first, f)
-    });
+    let sums = per_block(s, g, |p| p.fold_first(f));
     counters::count_reads(g.nb);
     let (seeds, total) = scan_sequential(&sums, zero, &|a, b| f(a.clone(), b.clone()));
     (g.bs, seeds, total)
@@ -537,15 +639,17 @@ where
     let found = AtomicBool::new(false);
     bds_pool::apply(g.nb, |j| {
         bds_pool::recover_block(j, || {
-            for x in s.stream_block(j, g.bs) {
+            // `Err` stops this block's pull early.
+            let _ = pull(s, g, j).try_fold((), |(), x| {
                 if found.load(Ordering::Relaxed) {
-                    return;
+                    return Err(());
                 }
                 if pred(&x) {
                     found.store(true, Ordering::Relaxed);
-                    return;
+                    return Err(());
                 }
-            }
+                Ok(())
+            });
         })
     });
     found.load(Ordering::Relaxed)
@@ -565,10 +669,7 @@ where
     // Two key evaluations + a comparison per element.
     let g = solve(s, ElemCost { w: 2, s: 2, a: 0 });
     let better = |a: S::Item, b: S::Item| if key(&b) > key(&a) { b } else { a };
-    let champs = per_block(s, g, |_, mut stream| {
-        let first = stream.next().expect("Seq invariant violated: empty block");
-        stream.fold(first, better)
-    });
+    let champs = per_block(s, g, |p| p.fold_first(better));
     champs.into_iter().reduce(better)
 }
 
@@ -584,16 +685,15 @@ where
     let (pa, pb) = (PartialVec::new(g.len), PartialVec::new(g.len));
     bds_pool::apply(g.nb, |j| {
         // Retry-safe as in `materialize`: both writers discard their
-        // partial prefixes on unwind.
+        // partial prefixes on unwind. The counted pull writes exactly
+        // the block's length.
         bds_pool::recover_block(j, || {
-            let (lo, hi) = block_bounds(g.len, g.bs, j);
+            let (lo, _) = block_bounds(g.len, g.bs, j);
             let (mut wa, mut wb) = (pa.writer(lo), pb.writer(lo));
-            for (x, y) in s.stream_block(j, g.bs) {
-                assert!(lo + wa.count() < hi, "Seq invariant violated: block overflow");
+            pull(s, g, j).for_each(|(x, y)| {
                 wa.push(x);
                 wb.push(y);
-            }
-            assert_eq!(lo + wa.count(), hi, "Seq invariant violated: block underflow");
+            });
         });
     });
     (pa.finish(), pb.finish())
@@ -616,13 +716,7 @@ where
         return Ok(zero);
     }
     let g = solve(s, SIMPLE);
-    let sums = try_per_block(s, g, |_, mut stream| {
-        let mut acc = stream.next().expect("Seq invariant violated: empty block");
-        for x in stream {
-            acc = f(acc, x)?;
-        }
-        Ok(acc)
-    })?;
+    let sums = try_per_block(s, g, |p| p.try_fold_first(f))?;
     counters::count_reads(sums.len());
     let mut acc = zero;
     for s in sums {
@@ -648,13 +742,7 @@ where
     // Combine in phase 1 plus a clone + write in phase 3, per element.
     let g = solve(s, ElemCost { w: 2, s: 2, a: 1 });
     // Phase 1: per-block sums (fused with the input's delayed work).
-    let sums = try_per_block(s, g, |_, mut stream| {
-        let mut acc = stream.next().expect("Seq invariant violated: empty block");
-        for x in stream {
-            acc = f(acc, x)?;
-        }
-        Ok(acc)
-    })?;
+    let sums = try_per_block(s, g, |p| p.try_fold_first(f))?;
     // Phase 2: sequential fallible scan of the block sums.
     counters::count_reads(g.nb);
     let mut seeds = Vec::with_capacity(g.nb);
@@ -670,14 +758,12 @@ where
         // Retry-safe: the seed is re-read and the region re-written
         // from scratch, so a retried rescan is bit-identical.
         bds_pool::recover_block(j, || {
-            let (lo, hi) = block_bounds(g.len, g.bs, j);
-            let mut acc = seeds[j].clone();
+            let (lo, _) = block_bounds(g.len, g.bs, j);
             let mut w = out_pv.writer(lo);
-            for x in s.stream_block(j, g.bs) {
+            pull(s, g, j).try_fold(seeds[j].clone(), |acc, x| {
                 w.push(acc.clone());
-                acc = f(acc, x)?;
-            }
-            assert_eq!(lo + w.count(), hi, "Seq invariant violated: block underflow");
+                f(acc, x)
+            })?;
             Ok(())
         })
     })?;
@@ -697,13 +783,14 @@ where
 {
     // One predicate call and a possible survivor copy per element.
     let g = solve(s, ElemCost { w: 1, s: 1, a: 1 });
-    try_per_block(s, g, |_, stream| {
+    try_per_block(s, g, |p| {
         let mut kept: Vec<S::Item> = Vec::new();
-        for x in stream {
+        p.try_fold((), |(), x| {
             if pred(&x)? {
                 kept.push(x);
             }
-        }
+            Ok(())
+        })?;
         counters::count_writes(kept.len());
         counters::count_allocs(kept.len());
         Ok(kept)
@@ -737,8 +824,10 @@ where
 /// share through [`fixed_block_size`](Self::fixed_block_size). Unlike
 /// an `IndexedStream`, a block may yield *fewer*
 /// elements than its range when a stage inside it drops elements;
-/// [`exact`](Self::exact) says whether that can happen. Each block
-/// ticks its own [`bds_pool::PollTicker`] once per chunk.
+/// [`exact`](Self::exact) says whether that can happen. Unlike an
+/// indexed stream's blocks, which the drive loops poll for, each chunked
+/// block ticks its own [`bds_pool::PollTicker`] once per chunk it
+/// produces.
 pub trait ChunkedStream: Sync {
     /// Element type.
     type Item: Send;
@@ -863,10 +952,15 @@ where
         record(Stage::Force, g);
     }
     if s.exact() {
-        return materialize(g, |j, r| {
+        return materialize(g, |j, w| {
+            let (lo, hi) = block_bounds(g.len, g.bs, j);
             s.stream_chunks(g, j, |chunk| {
+                assert!(
+                    w.count() + chunk.len() <= hi - lo,
+                    "Seq invariant violated: block overflow"
+                );
                 for x in chunk.drain(..) {
-                    r.push(x);
+                    w.push(x);
                 }
             })
         });
@@ -929,12 +1023,13 @@ where
         Ok(())
     };
     for j in 0..g.nb {
-        for x in s.stream_block(j, g.bs) {
+        pull(s, g, j).try_fold((), |(), x| {
             buf.push(x);
             if buf.len() == simd::CHUNK {
                 flush(&mut buf, &mut acc, &mut at)?;
             }
-        }
+            Ok(())
+        })?;
     }
     if !buf.is_empty() {
         flush(&mut buf, &mut acc, &mut at)?;

@@ -68,6 +68,13 @@ pub trait Seq: Send + Sync {
     /// The `j`-th block's stream when the sequence is cut into blocks of
     /// `bs` elements, `j < ceil(len / bs)`. O(1) to construct (plus, for
     /// region-based sequences, an O(log) binary search).
+    ///
+    /// Block streams do not poll for cancellation: the consumers in
+    /// [`crate::stream`] pull each block a chunk at a time and poll the
+    /// ambient [`bds_pool::CancelToken`] once per chunk. A caller that
+    /// iterates a block itself, outside those drive loops, gets no
+    /// polling (a `flatten` region still polls while it steps over
+    /// inner sequences).
     fn block(&self, j: usize, bs: usize) -> Self::Block<'_>;
 
     /// The block size an eager phase fixed for this sequence, or `None`
@@ -419,14 +426,13 @@ pub trait RadSeq: Seq {
 }
 
 /// Generic block stream over any [`RadSeq`]: yields `get(lo..hi)`.
-/// Polls the ambient cancellation token every
-/// [`bds_pool::PollTicker::INTERVAL`] elements, so even a single huge
-/// block observes cancellation within one poll chunk.
+/// It polls nothing: the drive loop that pulls it polls the ambient
+/// cancellation token once per chunk, so even a single huge block
+/// observes cancellation within one poll chunk.
 pub struct RadBlock<'s, S: RadSeq + ?Sized> {
     seq: &'s S,
     next: usize,
     end: usize,
-    ticker: bds_pool::PollTicker,
 }
 
 impl<'s, S: RadSeq + ?Sized> RadBlock<'s, S> {
@@ -437,7 +443,6 @@ impl<'s, S: RadSeq + ?Sized> RadBlock<'s, S> {
             seq,
             next: lo,
             end: hi,
-            ticker: bds_pool::PollTicker::new(),
         }
     }
 }
@@ -450,7 +455,6 @@ impl<'s, S: RadSeq + ?Sized> Iterator for RadBlock<'s, S> {
         if self.next >= self.end {
             return None;
         }
-        self.ticker.tick();
         let x = self.seq.get(self.next);
         self.next += 1;
         Some(x)

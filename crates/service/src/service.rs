@@ -186,8 +186,8 @@ struct Inner {
 }
 
 /// Expected queueing delay in nanoseconds: `per_request_ns` for each of
-/// the `ahead` requests already admitted, divided across `lanes`
-/// dispatch lanes.
+/// the `ahead` requests already admitted, divided across the `lanes`
+/// that execute at once.
 ///
 /// The multiply runs in `u128`: the old `saturating_mul(..) / lanes`
 /// capped the *product* at `u64::MAX` before dividing, so a large EWMA
@@ -202,8 +202,13 @@ fn queue_delay_ns(per_request_ns: u64, ahead: u64, lanes: u64) -> u64 {
 
 impl Inner {
     /// Expected queueing delay for a newly admitted request: everything
-    /// ahead of it, divided across the dispatch lanes, at the observed
-    /// service time. Until a first completion calibrates the EWMA, the
+    /// ahead of it, divided across the lanes that execute at once, at
+    /// the observed service time. Those are `min(workers,
+    /// max_concurrent)`: up to `max_concurrent` requests are dispatched,
+    /// but only `workers` of them run at a time, so dividing by the
+    /// dispatch slots alone would expect a fraction of the real wait
+    /// and admit requests that then trip their deadlines. Until a first
+    /// completion calibrates the EWMA, the
     /// per-request time is seeded from the `bds_cost` calibration table
     /// (`ns_per_work × cold_start_work`) instead of the old optimistic
     /// zero, which admitted a cold service's whole first burst
@@ -218,7 +223,7 @@ impl Inner {
             per_request_ns = (seed as u64).max(1);
         }
         let ahead = st.queued + st.inflight;
-        let lanes = self.cfg.max_concurrent.max(1) as u64;
+        let lanes = self.cfg.workers.min(self.cfg.max_concurrent).max(1) as u64;
         Duration::from_nanos(queue_delay_ns(per_request_ns, ahead as u64, lanes))
     }
 
@@ -1037,6 +1042,41 @@ mod tests {
         assert_eq!(svc.stats().tenants[0].rejected_deadline, 1);
         gate.store(1, Ordering::SeqCst);
         assert_eq!(wedge.wait(), Ok(()));
+    }
+
+    #[test]
+    fn deadline_estimate_counts_workers_not_dispatch_slots() {
+        // Four dispatch slots but one worker: requests ahead run one at
+        // a time, so the wait is the whole backlog, not a quarter of it.
+        let svc = Service::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 64,
+            max_concurrent: 4,
+            quantum: 1,
+            breaker: BreakerConfig::default(),
+            cold_start_work: 4096,
+        });
+        let tenant = svc.tenant("t");
+        // A calibrated service time of 1 s per request.
+        svc.inner.ewma_ns.store(1_000_000_000, Ordering::Relaxed);
+        let gate = Arc::new(AtomicUsize::new(0));
+        let g = Arc::clone(&gate);
+        let wedge = svc
+            .submit(tenant, Budget::unlimited(), move || {
+                while g.load(Ordering::SeqCst) == 0 {
+                    std::hint::spin_loop();
+                }
+            })
+            .expect("an idle service admits");
+        // One request ahead: the real wait is ~1 s. Divided by the four
+        // slots it would be 250 ms, inside this 500 ms deadline.
+        let budget = Budget::unlimited().deadline_at(Instant::now() + Duration::from_millis(500));
+        let late = svc.submit(tenant, budget, || 1);
+        // Release the wedge before asserting, so a failure cannot leave
+        // the service's drop waiting on it.
+        gate.store(1, Ordering::SeqCst);
+        assert_eq!(wedge.wait(), Ok(()));
+        assert_eq!(late.err(), Some(Rejected::Deadline));
     }
 
     #[test]

@@ -13,7 +13,9 @@ use bds_seq::prelude::*;
 
 /// Carry state at a position: the scan operator is `combine(left, right)
 /// = if right == Propagate { left } else { right }`, which is
-/// associative.
+/// associative. The constants are chosen so that both `classify` and
+/// `combine` can be computed without a branch: the digits are random,
+/// so a branch on them mispredicts about half the time.
 pub type Carry = u8;
 /// No carry out of this position regardless of carry in.
 pub const KILL: Carry = 0;
@@ -48,22 +50,19 @@ pub fn generate(p: Params) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
+/// The carry class of a digit sum `0..=510`: `KILL` below `0xFF`,
+/// `PROP` at it, `GEN` above it, as two flag bits.
 #[inline]
 fn classify(sum: u16) -> Carry {
-    match sum.cmp(&0xFF) {
-        std::cmp::Ordering::Less => KILL,
-        std::cmp::Ordering::Equal => PROP,
-        std::cmp::Ordering::Greater => GEN,
-    }
+    u8::from(sum > 0xFF) | u8::from(sum == 0xFF) << 1
 }
 
+/// The scan operator: `left` where `right` propagates, else `right`,
+/// as a mask select.
 #[inline]
 fn combine(left: Carry, right: Carry) -> Carry {
-    if right == PROP {
-        left
-    } else {
-        right
-    }
+    let keep_left = 0u8.wrapping_sub(u8::from(right == PROP));
+    (left & keep_left) | (right & !keep_left)
 }
 
 #[inline]
@@ -171,6 +170,28 @@ mod tests {
         let (digits, carry) = run_delay(&[200], &[100]);
         assert_eq!(digits, vec![44]);
         assert!(carry);
+    }
+
+    #[test]
+    fn classify_matches_three_way_compare_on_every_sum() {
+        for sum in 0..=510u16 {
+            let want = match sum.cmp(&0xFF) {
+                std::cmp::Ordering::Less => KILL,
+                std::cmp::Ordering::Equal => PROP,
+                std::cmp::Ordering::Greater => GEN,
+            };
+            assert_eq!(classify(sum), want, "sum {sum}");
+        }
+    }
+
+    #[test]
+    fn combine_matches_select_on_every_pair() {
+        for left in [KILL, GEN, PROP] {
+            for right in [KILL, GEN, PROP] {
+                let want = if right == PROP { left } else { right };
+                assert_eq!(combine(left, right), want, "({left},{right})");
+            }
+        }
     }
 
     #[test]

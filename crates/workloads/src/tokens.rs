@@ -35,19 +35,25 @@ pub fn generate(p: Params) -> Vec<u8> {
     crate::inputs::random_text(p.n, p.seed)
 }
 
+// The predicates combine their tests with non-short-circuit `|`/`&`:
+// the text is random, so a branch per test would mispredict often. The
+// neighbour reads are clamped into the text, and the edge tests decide
+// the result wherever the clamp bites.
+
 #[inline]
 fn is_space(c: u8) -> bool {
-    c == b' ' || c == b'\n' || c == b'\t'
+    (c == b' ') | (c == b'\n') | (c == b'\t')
 }
 
 #[inline]
 fn is_start(text: &[u8], i: usize) -> bool {
-    !is_space(text[i]) && (i == 0 || is_space(text[i - 1]))
+    !is_space(text[i]) & ((i == 0) | is_space(text[i.saturating_sub(1)]))
 }
 
 #[inline]
 fn is_end(text: &[u8], i: usize) -> bool {
-    !is_space(text[i]) && (i + 1 == text.len() || is_space(text[i + 1]))
+    let last = text.len() - 1;
+    !is_space(text[i]) & ((i == last) | is_space(text[(i + 1).min(last)]))
 }
 
 /// Sequential reference: the token `(start, end)` ranges (inclusive
@@ -110,6 +116,47 @@ pub fn checksum(tokens: &[(u32, u32)]) -> (usize, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The predicates with short-circuit `||`/`&&`: the oracle the
+    /// branch-free forms must equal.
+    fn is_space_sc(c: u8) -> bool {
+        c == b' ' || c == b'\n' || c == b'\t'
+    }
+
+    fn is_start_sc(text: &[u8], i: usize) -> bool {
+        !is_space_sc(text[i]) && (i == 0 || is_space_sc(text[i - 1]))
+    }
+
+    fn is_end_sc(text: &[u8], i: usize) -> bool {
+        !is_space_sc(text[i]) && (i + 1 == text.len() || is_space_sc(text[i + 1]))
+    }
+
+    fn assert_predicates_agree(text: &[u8]) {
+        for i in 0..text.len() {
+            assert_eq!(
+                is_start(text, i),
+                is_start_sc(text, i),
+                "start {text:?} @ {i}"
+            );
+            assert_eq!(is_end(text, i), is_end_sc(text, i), "end {text:?} @ {i}");
+        }
+    }
+
+    #[test]
+    fn predicates_match_short_circuit_forms_on_every_byte() {
+        for a in 0..=255u8 {
+            assert_eq!(is_space(a), is_space_sc(a), "byte {a}");
+            // A 1-byte input: position 0 is also the last position.
+            assert_predicates_agree(&[a]);
+            for b in 0..=255u8 {
+                // Every byte at position 0 and at the last position,
+                // beside every neighbour...
+                assert_predicates_agree(&[a, b]);
+                // ...and in the middle, between two equal neighbours.
+                assert_predicates_agree(&[b, a, b]);
+            }
+        }
+    }
 
     #[test]
     fn all_versions_match_reference() {

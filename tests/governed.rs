@@ -56,6 +56,9 @@ fn warm_globals() {
 /// The headline acceptance claim: a 10 ms deadline over a pipeline that
 /// would take *seconds* (10^8 elements on a 2-worker pool) comes back as
 /// `Err(Exceeded::Deadline)` within 2x the deadline, leaking nothing.
+/// The index goes through `black_box`: the drive loop's counted pull
+/// lets the optimizer sum a pure index function a chunk at a time in
+/// closed form, and the pipeline would then finish inside the deadline.
 #[test]
 fn deadline_cancels_a_huge_pipeline_within_two_x() {
     let _l = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -71,10 +74,12 @@ fn deadline_cancels_a_huge_pipeline_within_two_x() {
     let started = Instant::now();
     let r = quietly(|| {
         pool.install(|| {
-            tabulate(100_000_000usize, |i| (i as u64).wrapping_mul(31).wrapping_add(7))
-                .reduce_governed(Budget::unlimited().with_deadline(deadline), 0, |a, b| {
-                    a.wrapping_add(b)
-                })
+            tabulate(100_000_000usize, |i| {
+                std::hint::black_box(i as u64).wrapping_mul(31).wrapping_add(7)
+            })
+            .reduce_governed(Budget::unlimited().with_deadline(deadline), 0, |a, b| {
+                a.wrapping_add(b)
+            })
         })
     });
     let elapsed = started.elapsed();
@@ -142,9 +147,11 @@ fn sufficient_budget_returns_the_ungoverned_value() {
 }
 
 /// Regression for the flatten poll-point fix: a single output block can
-/// span *every* inner segment, so cancellation must be observed by the
-/// region walk itself, not at the (single) block boundary. Cancel after
-/// K elements and assert the walk stops within one poll interval.
+/// span *every* inner segment, so cancellation must be observed inside
+/// the block, not at the (single) block boundary. The walk is consumed
+/// through a drive loop, which polls once per chunk of the block it
+/// pulls. Cancel after K elements and assert the walk stops within one
+/// poll interval.
 #[test]
 fn flatten_region_walk_observes_cancellation_within_one_poll_chunk() {
     let _l = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -160,13 +167,14 @@ fn flatten_region_walk_observes_cancellation_within_one_poll_chunk() {
     let outcome = quietly(|| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             bds_pool::with_token(&token, || {
-                // Block 0 at block size `len`: a single region.
-                for x in flat.block(0, flat.len()) {
+                // Block size `len`: a single region.
+                let _bs = bds_seq::force_block_size(flat.len());
+                flat.for_each(|x| {
                     std::hint::black_box(x);
                     if counted.fetch_add(1, Ordering::Relaxed) + 1 == K {
                         token.cancel();
                     }
-                }
+                });
             })
         }))
     });

@@ -8,7 +8,7 @@
 //!
 //! * the geometry decisions the cost solver records
 //!   ([`bds_cost::record_geometry`]);
-//! * the number of cancellation polls the leaf tickers make
+//! * the number of cancellation polls the drive loop makes
 //!   ([`bds_pool::ticker_polls`]);
 //! * the exact byte budget at which a governed run trips
 //!   [`Exceeded::Memory`].
@@ -126,9 +126,9 @@ fn geometry_decision_log_identical_mono_vs_erased() {
 }
 
 /// All three instantiations must make the same number of cancellation
-/// polls: exactly one tick per element at the leaf, one poll per
-/// `PollTicker::INTERVAL` ticks, a fresh ticker per block. Geometry is
-/// pinned so every leg sees the same block seams.
+/// polls: the drive loop polls once per `PollTicker::INTERVAL` consumed
+/// elements, a fresh ticker per block. Geometry is pinned so every leg
+/// sees the same block seams.
 #[test]
 fn poll_tick_counts_identical_across_instantiations() {
     let _l = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
