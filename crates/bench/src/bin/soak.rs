@@ -29,7 +29,9 @@ use std::time::{Duration, Instant};
 use bds_bench::json::{GovCounters, JsonReport, Record, RecoveryCounters};
 use bds_bench::{arg_value, seed::splitmix64};
 use bds_metrics::{heap_stats, CountingAlloc};
-use bds_pool::{govern::trip_counts, recovery_counts, Budget, Exceeded, Pool, RetryPolicy};
+use bds_pool::{
+    govern::trip_counts, recovery_counts, run_governed, Budget, Exceeded, Pool, RetryPolicy,
+};
 use bds_seq::prelude::*;
 
 #[global_allocator]
@@ -94,11 +96,11 @@ impl Driver<'_> {
     fn deadline_leg(&self, pool: &Pool) {
         let started = Instant::now();
         let r = pool.install(|| {
-            tabulate(2_000_000_000usize, |i| {
-                std::hint::black_box(i as u64).wrapping_mul(31).wrapping_add(7)
-            })
-            .reduce_governed(Budget::unlimited().with_deadline(DEADLINE), 0, |a, b| {
-                a.wrapping_add(b)
+            run_governed(Budget::unlimited().with_deadline(DEADLINE), || {
+                tabulate(2_000_000_000usize, |i| {
+                    std::hint::black_box(i as u64).wrapping_mul(31).wrapping_add(7)
+                })
+                .reduce(0, |a, b| a.wrapping_add(b))
             })
         });
         let elapsed = started.elapsed();
@@ -115,9 +117,11 @@ impl Driver<'_> {
     /// `Memory`.
     fn memory_leg(&self, pool: &Pool) {
         let r = pool.install(|| {
-            tabulate(1_000_000usize, |i| i as u64)
-                .map(|x| x.wrapping_mul(3))
-                .to_vec_governed(Budget::unlimited().with_mem_bytes(64 * 1024))
+            run_governed(Budget::unlimited().with_mem_bytes(64 * 1024), || {
+                tabulate(1_000_000usize, |i| i as u64)
+                    .map(|x| x.wrapping_mul(3))
+                    .to_vec()
+            })
         });
         if r != Err(Exceeded::Memory) {
             let brief = r.as_ref().map(Vec::len);
@@ -129,12 +133,11 @@ impl Driver<'_> {
     /// while workers are being crashed and calls shed around this run.
     fn sufficient_leg(&self, pool: &Pool, want: u64) {
         let r = pool.install(|| {
-            tabulate(100_000usize, |i| i as u64).reduce_governed(
+            run_governed(
                 Budget::unlimited()
                     .with_deadline(Duration::from_secs(60))
                     .with_mem_bytes(64 << 20),
-                0,
-                |a, b| a + b,
+                || tabulate(100_000usize, |i| i as u64).reduce(0, |a, b| a + b),
             )
         });
         if r != Ok(want) {
@@ -210,7 +213,11 @@ struct Outcome {
 fn soak_round(seconds: u64, procs: usize) -> Outcome {
     let trips_before = trip_counts();
     let recovery_before = recovery_counts();
-    let pool = Pool::new(procs);
+    // Cap in-pool concurrency so excess governed calls exercise the
+    // shedding path (degraded in-caller execution) instead of queueing,
+    // which also keeps the 2x deadline bound sharp: an admitted run
+    // never waits behind a backlog.
+    let pool = Pool::with_max_inflight(procs, 1);
     let stop = AtomicBool::new(false);
     let violations = Mutex::new(Vec::new());
     let deadline_runs = Mutex::new(Vec::new());
@@ -316,14 +323,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
         .max(2);
-    // Cap in-pool concurrency so excess governed calls exercise the
-    // shedding path (degraded in-caller execution) instead of queueing,
-    // which also keeps the 2x deadline bound sharp: an admitted run
-    // never waits behind a backlog. Overridable from the environment.
-    if std::env::var_os("BDS_MAX_INFLIGHT").is_none() {
-        std::env::set_var("BDS_MAX_INFLIGHT", "1");
-    }
-
     // Warm-up round: identical code path, results discarded.
     eprintln!("soak: warm-up round (1s on a {procs}-worker pool)");
     drop(soak_round(1, procs));

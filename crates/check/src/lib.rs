@@ -129,9 +129,9 @@ const SERVICE_CHECK_PERIOD: usize = 32;
 
 /// How often the fuzz loop additionally runs the SIMD differential
 /// sweep: the case's subseed feeds [`simd::check_simd`], which compares
-/// every `bds_seq::simd` driver at forced scalar against every dispatch
-/// level the CPU supports (bit-for-bit for integer/byte kernels,
-/// ULP-bounded for float sums).
+/// every `bds_seq::simd` driver the workloads run at forced scalar
+/// against a plain-iterator oracle and against every dispatch level the
+/// CPU supports, bit-for-bit.
 const SIMD_CHECK_PERIOD: usize = 64;
 
 /// How often the fuzz loop additionally runs the case's panic-mode

@@ -15,9 +15,10 @@
 //!    salvages the job without re-running the pipeline.
 //! 2. **Deterministic** — the fault always fires. The faulted block
 //!    fails every attempt, so the run must surface exactly one typed
-//!    [`BlockFailed`] with `attempts == max_attempts` — never an
-//!    escaped panic, never an `Ok` (the generator guarantees the
-//!    poison is demanded, so the fault cannot silently miss).
+//!    [`BlockFailed`](bds_pool::BlockFailed) with
+//!    `attempts == max_attempts` — never an escaped panic, never an
+//!    `Ok` (the generator guarantees the poison is demanded, so the
+//!    fault cannot silently miss).
 //!
 //! Both modes reuse the same poisoned closures as the plain
 //! differential legs — the only knob is the process-wide fire budget —

@@ -40,8 +40,8 @@ pub enum Geom {
     /// Cost-model-driven block sizes (pinned by the run's calibration
     /// override).
     Adaptive,
-    /// `Policy::Fixed(k)`: `k × DEFAULT_FIXED_MULTIPLIER`-style fixed
-    /// policy blocks (floored at `MIN_BLOCK` by the policy layer).
+    /// `Policy::Fixed(k)`: the fixed `ceil(n / (k·P))` heuristic
+    /// (floored at `MIN_BLOCK` by the policy layer).
     Fixed(usize),
     /// `force_block_size(k)`: a raw block-size override that bypasses
     /// the `MIN_BLOCK` floor, so small inputs really do split into

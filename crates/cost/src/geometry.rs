@@ -142,39 +142,20 @@ pub fn solve(len: usize, per_elem: ElemCost, workers: usize, cal: &Calibration) 
     g
 }
 
-/// Like [`solve`], but rounds the chosen block size **up** to a
-/// multiple of `lane` (a SIMD lane count), so every interior block
+/// Round `g.block_size` **up** to a multiple of `lane` (a SIMD lane
+/// count) and recompute the block count, so every interior block
 /// boundary falls on a lane boundary and only the final block carries a
-/// scalar tail.
+/// scalar tail. The SIMD drivers in `bds_seq::simd` apply it to the one
+/// geometry their consumption solved.
 ///
-/// Without alignment, `solve` on small inputs happily emits block sizes
-/// like 13 or 47 that straddle lane width — every block of a vectorized
-/// kernel then pays a scalar prologue *and* epilogue, which on a
-/// 4-block input erases most of the SIMD win. Rounding up can only
+/// Without alignment, [`solve`] on small inputs happily emits block
+/// sizes like 13 or 47 that straddle lane width — every block of a
+/// vectorized kernel then pays a scalar prologue *and* epilogue, which
+/// on a 4-block input erases most of the SIMD win. Rounding up can only
 /// lower the block count, never violate the [`Geometry`] invariants:
 /// the size is capped at `len` (a single block needs no interior
 /// alignment) and the count recomputed as `len.div_ceil(block_size)`.
-///
-/// `lane <= 1` (or a zero-length input) degenerates to [`solve`]. When
-/// recording is active, the decision logged is the **aligned** geometry
-/// — the one that executes.
-pub fn solve_lane_aligned(
-    len: usize,
-    per_elem: ElemCost,
-    workers: usize,
-    cal: &Calibration,
-    lane: usize,
-) -> Geometry {
-    let g = align_to_lane(solve_unrecorded(len, per_elem, workers, cal), len, lane);
-    record(len, per_elem, workers, g);
-    g
-}
-
-/// Round `g.block_size` up to a multiple of `lane` and recompute the
-/// block count, preserving the [`Geometry`] invariants over `len`
-/// elements. The building block of [`solve_lane_aligned`], exposed for
-/// callers that already hold a solved geometry (e.g. a pinned or forced
-/// block size that a SIMD consumer wants to align).
+/// `lane <= 1`, a zero-length input and a single block are left alone.
 pub fn align_to_lane(g: Geometry, len: usize, lane: usize) -> Geometry {
     let lane = lane.max(1);
     if len == 0 || lane == 1 || g.num_blocks <= 1 {
@@ -337,7 +318,7 @@ mod tests {
     fn small_inputs_straddle_lanes_without_alignment() {
         // Regression: on small inputs the plain solver emits block
         // sizes that straddle lane width (every interior boundary then
-        // splits a vector chunk), and the lane-aligned solver must not.
+        // splits a vector chunk), and the aligned geometry must not.
         let cal = cal();
         let heavy = ElemCost { w: 200, s: 200, a: 0 };
         let lane = 8;
@@ -347,7 +328,7 @@ mod tests {
             if plain.num_blocks > 1 && !plain.block_size.is_multiple_of(lane) {
                 straddled += 1;
             }
-            let aligned = solve_lane_aligned(len, heavy, 8, &cal, lane);
+            let aligned = align_to_lane(plain, len, lane);
             if aligned.num_blocks > 1 {
                 assert_eq!(
                     aligned.block_size % lane,
@@ -357,7 +338,7 @@ mod tests {
             }
             // Geometry invariants survive alignment.
             assert!(aligned.num_blocks >= 1 && aligned.num_blocks <= len);
-            assert!(aligned.block_size >= 1);
+            assert!(aligned.block_size >= 1 && aligned.block_size <= len);
             assert!(aligned.block_size * aligned.num_blocks >= len);
             assert!(aligned.block_size * (aligned.num_blocks - 1) < len);
         }
@@ -371,22 +352,18 @@ mod tests {
     fn lane_alignment_degenerate_cases() {
         let cal = cal();
         // lane <= 1 is a no-op.
-        assert_eq!(
-            solve_lane_aligned(10_000, SIMPLE, 4, &cal, 1),
-            solve(10_000, SIMPLE, 4, &cal)
-        );
-        assert_eq!(
-            solve_lane_aligned(10_000, SIMPLE, 4, &cal, 0),
-            solve(10_000, SIMPLE, 4, &cal)
-        );
+        let g = solve(10_000, SIMPLE, 4, &cal);
+        assert_eq!(align_to_lane(g, 10_000, 1), g);
+        assert_eq!(align_to_lane(g, 10_000, 0), g);
         // Zero-length input keeps the sentinel geometry.
-        let g = solve_lane_aligned(0, SIMPLE, 4, &cal, 16);
+        let g = align_to_lane(solve(0, SIMPLE, 4, &cal), 0, 16);
         assert_eq!(g.num_blocks, 0);
         assert_eq!(g.block_size, 1);
         // A single block needs no interior alignment: size stays len.
-        let g = solve_lane_aligned(64, SIMPLE, 8, &cal, 16);
+        let g = solve(64, SIMPLE, 8, &cal);
         assert_eq!(g.num_blocks, 1);
-        // Rounding up past len collapses to one block.
+        assert_eq!(align_to_lane(g, 64, 16), g);
+        // Rounding up recomputes the block count ...
         let g = align_to_lane(
             Geometry {
                 block_size: 60,
@@ -397,6 +374,7 @@ mod tests {
         );
         assert_eq!(g.num_blocks, 2);
         assert_eq!(g.block_size, 64);
+        // ... and past len collapses to one block of len.
         let g = align_to_lane(
             Geometry {
                 block_size: 60,
@@ -406,21 +384,7 @@ mod tests {
             64,
         );
         assert_eq!(g.num_blocks, 1);
-    }
-
-    #[test]
-    fn lane_aligned_records_the_aligned_decision() {
-        let cal = cal();
-        let rec = record_geometry();
-        // A length no other test uses, so concurrent solves can't
-        // confuse the lookup.
-        let g = solve_lane_aligned(31_338, ElemCost { w: 200, s: 200, a: 0 }, 8, &cal, 16);
-        let log = recorded_geometry();
-        assert!(log
-            .iter()
-            .any(|d| d.len == 31_338 && d.block_size == g.block_size
-                && d.num_blocks == g.num_blocks));
-        drop(rec);
+        assert_eq!(g.block_size, 63);
     }
 
     #[test]

@@ -1,28 +1,18 @@
-//! Vector-lane and cache-line geometry constants.
+//! Vector-lane geometry constants.
 //!
 //! The block-delayed execution model turns pipelines into straight-line
-//! sequential loops over blocks — exactly the shape SIMD wants. For the
-//! geometry solver to pick *SIMD-friendly* block sizes it needs two
-//! machine facts this module centralizes:
-//!
-//! * **lane counts** — how many elements of a given width one vector
-//!   register holds, per vector width ([`lanes`], [`lane_count`]);
-//! * **cache-line capacity** — how many elements share one line
-//!   ([`elems_per_cache_line`]), the natural *minimum* alignment worth
-//!   caring about: a block boundary inside a cache line means two
-//!   workers ping-pong that line.
+//! sequential loops over blocks — exactly the shape SIMD wants. For a
+//! SIMD consumer to pick *SIMD-friendly* block sizes it needs one
+//! machine fact this module centralizes: **lane counts** — how many
+//! elements of a given width one vector register holds, per vector
+//! width ([`lanes`], [`lane_count`]).
 //!
 //! The constants here are static upper bounds (what the ISA offers);
 //! *which* width actually runs is a runtime dispatch decision made in
-//! `bds_seq::simd` and passed into
-//! [`geometry::solve_lane_aligned`](crate::geometry::solve_lane_aligned)
-//! as the `lane` argument. Keeping this crate free of `cfg`/runtime
-//! feature detection keeps the cost model a pure function.
-
-/// Bytes per cache line on every x86-64 and most aarch64 parts this
-/// repo targets (64), which is also the spatial-prefetch-safe block
-/// alignment floor.
-pub const CACHE_LINE_BYTES: usize = 64;
+//! `bds_seq::simd`, whose drivers pass [`lane_count`] to
+//! [`geometry::align_to_lane`](crate::geometry::align_to_lane). Keeping
+//! this crate free of `cfg`/runtime feature detection keeps the cost
+//! model a pure function.
 
 /// Vector register width of the widest x86-64 extension the SIMD fast
 /// paths can dispatch to (AVX-512: 64 bytes).
@@ -55,11 +45,6 @@ pub const fn lane_count<T>() -> usize {
     lanes(AVX512_VECTOR_BYTES, std::mem::size_of::<T>())
 }
 
-/// How many `T`s share one cache line (floored at 1).
-pub const fn elems_per_cache_line<T>() -> usize {
-    lanes(CACHE_LINE_BYTES, std::mem::size_of::<T>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,10 +65,8 @@ mod tests {
         assert_eq!(lane_count::<u64>(), 8);
         assert_eq!(lane_count::<f32>(), 16);
         assert_eq!(lane_count::<f64>(), 8);
-        assert_eq!(elems_per_cache_line::<u8>(), 64);
-        assert_eq!(elems_per_cache_line::<u64>(), 8);
-        // A type wider than a line still reports at least 1.
-        assert_eq!(elems_per_cache_line::<[u8; 256]>(), 1);
+        // A type wider than a vector still reports at least 1.
+        assert_eq!(lane_count::<[u8; 256]>(), 1);
     }
 
     #[test]
@@ -91,6 +74,5 @@ mod tests {
         // Aligning to the widest width aligns every narrower tier.
         assert_eq!(AVX512_VECTOR_BYTES % AVX2_VECTOR_BYTES, 0);
         assert_eq!(AVX2_VECTOR_BYTES % SSE2_VECTOR_BYTES, 0);
-        assert_eq!(CACHE_LINE_BYTES, AVX512_VECTOR_BYTES);
     }
 }

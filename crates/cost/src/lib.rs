@@ -46,9 +46,9 @@ pub mod rw;
 
 pub use calibrate::{calibration, override_calibration, Calibration, CalibrationOverride};
 pub use geometry::{
-    align_to_lane, record_geometry, recorded_geometry, solve as solve_geometry,
-    solve_lane_aligned, Geometry, GeometryDecision, GeometryRecording,
+    align_to_lane, record_geometry, recorded_geometry, solve as solve_geometry, Geometry,
+    GeometryDecision, GeometryRecording,
 };
-pub use lanes::{elems_per_cache_line, lane_count, CACHE_LINE_BYTES};
+pub use lanes::lane_count;
 pub use model::{ceil_log2, Cost, ElemCost, Model, Repr, SeqCost, SIMPLE};
 pub use rw::{bestcut_force_first_map, bestcut_fused, bestcut_normal, RwRow, RwTable};

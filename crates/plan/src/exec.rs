@@ -71,47 +71,6 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
         }
         seg.consume(consumer)
     }
-
-    /// Plan-and-run convenience: fetch (or optimize) this pipe's plan
-    /// from `cache` for a pool of `workers`, then collect.
-    pub fn collect_with(&self, cache: &crate::PlanCache, workers: usize) -> Vec<T> {
-        let (plan, _) = cache.plan(self.shape(crate::ConsumerKind::Collect), workers);
-        match self.execute(&plan, &ConsumerOp::Collect) {
-            Consumed::Vec(v) => v,
-            _ => unreachable!("collect plan produced a non-vec"),
-        }
-    }
-
-    /// Plan-and-run convenience for an order-preserving reduce.
-    pub fn reduce_with(
-        &self,
-        cache: &crate::PlanCache,
-        workers: usize,
-        zero: T,
-        combine: impl Fn(T, T) -> T + Send + Sync + 'static,
-    ) -> T {
-        let (plan, _) = cache.plan(self.shape(crate::ConsumerKind::Reduce), workers);
-        let consumer = ConsumerOp::Reduce(zero, std::sync::Arc::new(combine), bds_cost::SIMPLE);
-        match self.execute(&plan, &consumer) {
-            Consumed::Scalar(x) => x,
-            _ => unreachable!("reduce plan produced a non-scalar"),
-        }
-    }
-
-    /// Plan-and-run convenience for a predicate count.
-    pub fn count_with(
-        &self,
-        cache: &crate::PlanCache,
-        workers: usize,
-        pred: impl Fn(&T) -> bool + Send + Sync + 'static,
-    ) -> usize {
-        let (plan, _) = cache.plan(self.shape(crate::ConsumerKind::Count), workers);
-        let consumer = ConsumerOp::Count(std::sync::Arc::new(pred), bds_cost::SIMPLE);
-        match self.execute(&plan, &consumer) {
-            Consumed::Num(n) => n,
-            _ => unreachable!("count plan produced a non-count"),
-        }
-    }
 }
 
 /// Where a segment's elements come from.

@@ -48,15 +48,23 @@
 //! captures.
 //!
 //! ```
-//! use bds_plan::{ConsumerKind, Pipe, PlanCache};
+//! use std::sync::Arc;
+//! use bds_plan::{Consumed, ConsumerKind, ConsumerOp, Pipe, PlanCache};
 //!
 //! let cache = PlanCache::new(32);
-//! let total: u64 = Pipe::tabulate(1 << 14, |i| i as u64)
+//! let pipe = Pipe::tabulate(1 << 14, |i| i as u64)
 //!     .map(|x| x * 3)
-//!     .filter(|&x| x % 2 == 0)
-//!     .reduce_with(&cache, 1, 0, |a, b| a + b);
-//! assert_eq!(total, (0..1u64 << 14).map(|x| x * 3).filter(|x| x % 2 == 0).sum());
+//!     .filter(|&x| x % 2 == 0);
+//! let (plan, _) = cache.plan(pipe.shape(ConsumerKind::Reduce), 1);
+//! let sum = ConsumerOp::Reduce(0, Arc::new(|a: u64, b: u64| a + b), bds_cost::SIMPLE);
+//! let want = (0..1u64 << 14).map(|x| x * 3).filter(|x| x % 2 == 0).sum();
+//! assert_eq!(pipe.execute(&plan, &sum), Consumed::Scalar(want));
 //! // A second pipeline with the same shape reuses the cached plan.
+//! let other = Pipe::tabulate(1 << 14, |i| i as u64)
+//!     .map(|x| x + 1)
+//!     .filter(|&x| x > 7);
+//! let (_, hit) = cache.plan(other.shape(ConsumerKind::Reduce), 1);
+//! assert!(hit);
 //! assert_eq!(cache.misses(), 1);
 //! ```
 

@@ -104,8 +104,7 @@ impl Pool {
     /// # Panics
     /// Panics if `num_threads == 0`.
     pub fn new(num_threads: usize) -> Pool {
-        let (registry, handles) =
-            Registry::new(num_threads, None, Registry::env_max_inflight(), None);
+        let (registry, handles) = Registry::new(num_threads, None, None, None);
         Pool { registry, handles }
     }
 
@@ -129,12 +128,7 @@ impl Pool {
     /// # Panics
     /// Panics if `num_threads == 0`.
     pub fn new_grouped(num_threads: usize, num_groups: usize) -> Pool {
-        let (registry, handles) = Registry::new(
-            num_threads,
-            None,
-            Registry::env_max_inflight(),
-            Some(num_groups.max(1)),
-        );
+        let (registry, handles) = Registry::new(num_threads, None, None, Some(num_groups.max(1)));
         Pool { registry, handles }
     }
 
@@ -156,8 +150,7 @@ impl Pool {
     /// Create a pool with an explicit admission cap: at most
     /// `max_inflight` external [`Pool::install`] calls are admitted
     /// concurrently; the rest shed to degraded in-caller execution.
-    /// Overrides the `BDS_MAX_INFLIGHT` environment variable, which is
-    /// racy to mutate from tests and invisible to library callers.
+    /// The other constructors set no cap: they shed on saturation only.
     ///
     /// The cap is strict: admission uses a compare-and-swap, so
     /// concurrent racers at the boundary shed rather than overshoot.
@@ -188,8 +181,7 @@ impl Pool {
     /// # Panics
     /// Panics if `num_threads == 0`.
     pub fn new_seeded(num_threads: usize, seed: u64) -> Pool {
-        let (registry, handles) =
-            Registry::new(num_threads, Some(seed), Registry::env_max_inflight(), None);
+        let (registry, handles) = Registry::new(num_threads, Some(seed), None, None);
         Pool { registry, handles }
     }
 

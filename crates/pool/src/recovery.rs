@@ -50,7 +50,7 @@ use crate::govern::backoff_delay;
 /// Classification of a block-level fault by a [`RetryPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
-    /// Worth re-executing: injected worker crashes, `Interrupted`-style
+    /// Worth re-executing: injected worker crashes, injected block
     /// faults, anything timing- or scheduling-dependent. A transient
     /// fault that keeps firing is reclassified empirically once
     /// [`RetryPolicy::max_attempts`] identical failures have occurred

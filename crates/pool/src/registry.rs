@@ -58,9 +58,8 @@ pub(crate) struct Registry {
     /// thread. Tracked separately from `inflight` so degraded work does
     /// not consume admission slots.
     degraded_inflight: AtomicUsize,
-    /// Admission cap (explicit constructor argument, or read from
-    /// `BDS_MAX_INFLIGHT` at pool creation); `None` means no explicit
-    /// cap, saturation shedding only.
+    /// Admission cap ([`crate::Pool::with_max_inflight`]); `None` means
+    /// no explicit cap, saturation shedding only.
     max_inflight: Option<usize>,
     /// Named per-tenant counter slots handed out by
     /// [`Registry::tenant_slot`]; snapshotted into
@@ -141,16 +140,6 @@ impl Registry {
             })
             .collect();
         (registry, handles)
-    }
-
-    /// The admission cap configured by the environment
-    /// (`BDS_MAX_INFLIGHT`), used by the pool constructors that do not
-    /// take an explicit cap.
-    pub(crate) fn env_max_inflight() -> Option<usize> {
-        std::env::var("BDS_MAX_INFLIGHT")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&m| m > 0)
     }
 
     pub(crate) fn num_threads(&self) -> usize {

@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 use bds_pool::Pool;
 
 /// Serializes the tests in this binary: they read process-global state
-/// (`BDS_MAX_INFLIGHT` is sampled at pool creation).
+/// (`recovery_counts`) and count the threads, sheds and respawns of
+/// their pool, which a sibling test's load would perturb.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(Mutex::default)
@@ -173,9 +174,7 @@ fn heartbeats_advance() {
 #[test]
 fn max_inflight_sheds_to_degraded_sequential_execution() {
     let _serial = serial();
-    std::env::set_var("BDS_MAX_INFLIGHT", "1");
-    let pool = Pool::new(2);
-    std::env::remove_var("BDS_MAX_INFLIGHT");
+    let pool = Pool::with_max_inflight(2, 1);
 
     let occupied = std::sync::Arc::new(AtomicUsize::new(0));
     let release = std::sync::Arc::new(AtomicUsize::new(0));
@@ -227,9 +226,7 @@ fn max_inflight_sheds_to_degraded_sequential_execution() {
 #[test]
 fn degraded_mode_observes_cancellation() {
     let _serial = serial();
-    std::env::set_var("BDS_MAX_INFLIGHT", "1");
-    let pool = Pool::new(1);
-    std::env::remove_var("BDS_MAX_INFLIGHT");
+    let pool = Pool::with_max_inflight(1, 1);
 
     let occupied = std::sync::Arc::new(AtomicUsize::new(0));
     let release = std::sync::Arc::new(AtomicUsize::new(0));

@@ -605,28 +605,6 @@ impl<T: Send + Sync + Clone + 'static> DSeq<T> {
         Ok(parts.concat())
     }
 
-    /// Chunked fallible sum through the SIMD dispatch ladder: one
-    /// instantiation of the core's [`stream::try_sum_chunked`] drive
-    /// loop. The chunk structure — and therefore the ordinal at which
-    /// an armed [`crate::faults`] countdown fires, and the offset it
-    /// reports — is a pure function of the element stream, identical
-    /// to the monomorphized and erased instantiations and to
-    /// [`crate::simd::try_sum`] on the materialized elements.
-    pub fn try_sum(self) -> Result<T, crate::simd::Interrupted>
-    where
-        T: crate::simd::SimdElem,
-    {
-        let bid = self.to_bid();
-        let DSeq::Bid { len, bs, b } = &bid else {
-            unreachable!()
-        };
-        stream::try_sum_chunked(&BidStream {
-            len: *len,
-            bs: *bs,
-            b,
-        })
-    }
-
     /// Fallible two-phase [`DSeq::reduce`]: one instantiation of the
     /// core's [`stream::try_reduce`] drive loop (lowest failing block
     /// index's error wins).

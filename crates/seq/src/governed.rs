@@ -22,73 +22,33 @@
 //!   inside a plain cancellation scope) trips only itself; the outer
 //!   scope keeps running.
 //!
+//! Any consumer runs governed by wrapping it in [`run_governed`]:
+//! `Ok(value)` if the pipeline completed within the budget,
+//! `Err(Exceeded::Deadline)` or `Err(Exceeded::Memory)` if the budget
+//! tripped first. On `Err`, everything materialized so far has already
+//! been dropped (the same drop-guard protocol that makes panics
+//! leak-free).
+//!
 //! ```
 //! use bds_seq::prelude::*;
-//! use bds_seq::{Budget, Exceeded, GovernedExt};
+//! use bds_seq::{run_governed, Budget, Exceeded};
 //!
 //! // A generous budget: completes normally.
-//! let v = tabulate(10_000, |i| i as u64)
-//!     .to_vec_governed(Budget::unlimited().with_mem_bytes(1 << 20))
-//!     .unwrap();
+//! let v = run_governed(Budget::unlimited().with_mem_bytes(1 << 20), || {
+//!     tabulate(10_000, |i| i as u64).to_vec()
+//! })
+//! .unwrap();
 //! assert_eq!(v.len(), 10_000);
 //!
 //! // An impossible memory budget: the materialization is refused, no
 //! // partial buffer escapes.
-//! let err = tabulate(10_000, |i| i as u64)
-//!     .to_vec_governed(Budget::unlimited().with_mem_bytes(1));
+//! let err = run_governed(Budget::unlimited().with_mem_bytes(1), || {
+//!     tabulate(10_000, |i| i as u64).to_vec()
+//! });
 //! assert_eq!(err.unwrap_err(), Exceeded::Memory);
 //! ```
 
 pub use bds_pool::{run_governed, Budget, Exceeded};
-
-use crate::sources::Forced;
-use crate::traits::Seq;
-
-/// Budget-governed variants of the eager consumers on [`Seq`].
-///
-/// Each method is exactly its ungoverned namesake wrapped in
-/// [`run_governed`]: `Ok(value)` if the pipeline completed within the
-/// budget, `Err(Exceeded::Deadline)` or `Err(Exceeded::Memory)` if the
-/// budget tripped first. On `Err`, everything materialized so far has
-/// already been dropped (the same drop-guard protocol that makes panics
-/// leak-free).
-pub trait GovernedExt: Seq {
-    /// [`Seq::to_vec`] under `budget`.
-    fn to_vec_governed(&self, budget: Budget) -> Result<Vec<Self::Item>, Exceeded> {
-        run_governed(budget, || self.to_vec())
-    }
-
-    /// [`Seq::reduce`] under `budget`.
-    fn reduce_governed<F>(
-        &self,
-        budget: Budget,
-        zero: Self::Item,
-        combine: F,
-    ) -> Result<Self::Item, Exceeded>
-    where
-        F: Fn(Self::Item, Self::Item) -> Self::Item + Send + Sync,
-    {
-        run_governed(budget, || self.reduce(zero, combine))
-    }
-
-    /// [`Seq::force`] under `budget`.
-    fn force_governed(&self, budget: Budget) -> Result<Forced<Self::Item>, Exceeded>
-    where
-        Self::Item: Clone + Sync,
-    {
-        run_governed(budget, || self.force())
-    }
-
-    /// [`Seq::for_each`] under `budget`.
-    fn for_each_governed<F>(&self, budget: Budget, f: F) -> Result<(), Exceeded>
-    where
-        F: Fn(Self::Item) + Send + Sync,
-    {
-        run_governed(budget, || self.for_each(f))
-    }
-}
-
-impl<S: Seq + ?Sized> GovernedExt for S {}
 
 #[cfg(test)]
 mod tests {
@@ -98,31 +58,30 @@ mod tests {
 
     #[test]
     fn unlimited_budget_is_a_no_op() {
-        let v = tabulate(5000, |i| i as u64)
-            .map(|x| x + 1)
-            .to_vec_governed(Budget::unlimited())
-            .unwrap();
+        let v = run_governed(Budget::unlimited(), || {
+            tabulate(5000, |i| i as u64).map(|x| x + 1).to_vec()
+        })
+        .unwrap();
         assert_eq!(v.len(), 5000);
         assert_eq!(v[0], 1);
     }
 
     #[test]
     fn expired_deadline_refuses_the_run() {
-        let err = tabulate(100_000, |i| i as u64)
-            .reduce_governed(
-                Budget::unlimited().deadline_at(Instant::now() - Duration::from_millis(1)),
-                0,
-                |a, b| a + b,
-            )
-            .unwrap_err();
+        let err = run_governed(
+            Budget::unlimited().deadline_at(Instant::now() - Duration::from_millis(1)),
+            || tabulate(100_000, |i| i as u64).reduce(0, |a, b| a + b),
+        )
+        .unwrap_err();
         assert_eq!(err, Exceeded::Deadline);
     }
 
     #[test]
     fn tiny_memory_budget_refuses_materialization() {
-        let err = tabulate(100_000, |i| i as u64)
-            .to_vec_governed(Budget::unlimited().with_mem_bytes(16))
-            .unwrap_err();
+        let err = run_governed(Budget::unlimited().with_mem_bytes(16), || {
+            tabulate(100_000, |i| i as u64).to_vec()
+        })
+        .unwrap_err();
         assert_eq!(err, Exceeded::Memory);
     }
 
@@ -130,27 +89,29 @@ mod tests {
     fn reduce_does_not_charge_per_element() {
         // reduce materializes only O(blocks); a budget big enough for
         // the block sums but far smaller than n elements still passes.
-        let got = tabulate(100_000, |i| i as u64)
-            .reduce_governed(Budget::unlimited().with_mem_bytes(1 << 16), 0, |a, b| a + b)
-            .unwrap();
+        let got = run_governed(Budget::unlimited().with_mem_bytes(1 << 16), || {
+            tabulate(100_000, |i| i as u64).reduce(0, |a, b| a + b)
+        })
+        .unwrap();
         assert_eq!(got, 99_999u64 * 100_000 / 2);
     }
 
     #[test]
     fn governed_filter_collect_charges_survivors() {
         // All 50k survivors charged against a 1KiB budget: must trip.
-        let err = tabulate(50_000, |i| i as u64)
-            .filter(|_| true)
-            .to_vec_governed(Budget::unlimited().with_mem_bytes(1024))
-            .unwrap_err();
+        let err = run_governed(Budget::unlimited().with_mem_bytes(1024), || {
+            tabulate(50_000, |i| i as u64).filter(|_| true).to_vec()
+        })
+        .unwrap_err();
         assert_eq!(err, Exceeded::Memory);
     }
 
     #[test]
     fn force_governed_roundtrip() {
-        let f = tabulate(1000, |i| i as u32)
-            .force_governed(Budget::unlimited().with_mem_bytes(1 << 20))
-            .unwrap();
+        let f = run_governed(Budget::unlimited().with_mem_bytes(1 << 20), || {
+            tabulate(1000, |i| i as u32).force()
+        })
+        .unwrap();
         assert_eq!(f.as_slice().len(), 1000);
     }
 
@@ -158,14 +119,15 @@ mod tests {
     fn deadline_trips_a_long_for_each() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let seen = AtomicUsize::new(0);
-        let err = tabulate(usize::MAX / 2, |i| i)
-            .for_each_governed(
-                Budget::unlimited().with_deadline(Duration::from_millis(10)),
-                |_| {
+        let err = run_governed(
+            Budget::unlimited().with_deadline(Duration::from_millis(10)),
+            || {
+                tabulate(usize::MAX / 2, |i| i).for_each(|_| {
                     seen.fetch_add(1, Ordering::Relaxed);
-                },
-            )
-            .unwrap_err();
+                })
+            },
+        )
+        .unwrap_err();
         assert_eq!(err, Exceeded::Deadline);
         // Some prefix ran, but nowhere near all of it.
         assert!(seen.load(Ordering::Relaxed) < usize::MAX / 4);

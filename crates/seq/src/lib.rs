@@ -88,12 +88,12 @@
 //!   harness (behind the `fault-inject` feature; no-op stubs otherwise)
 //!   fires a panic or an `Err` at exactly the Nth instrumented closure
 //!   invocation, which is how the failure paths above are swept in CI.
-//! * **Resource budgets govern whole pipelines.** [`GovernedExt`] adds
-//!   `*_governed` consumers that run under a [`Budget`] (deadline and/or
-//!   memory ceiling) and return [`Exceeded`] instead of a partial
-//!   result: a watchdog cancels the run when the deadline passes, and
-//!   materializing consumers charge allocations against the memory
-//!   budget via fallible (`try_reserve`) growth. See [`governed`].
+//! * **Resource budgets govern whole pipelines.** [`run_governed`] runs
+//!   any consumer under a [`Budget`] (deadline and/or memory ceiling)
+//!   and returns [`Exceeded`] instead of a partial result: a watchdog
+//!   cancels the run when the deadline passes, and materializing
+//!   consumers charge allocations against the memory budget via
+//!   fallible (`try_reserve`) growth. See [`governed`].
 
 #![warn(missing_docs)]
 
@@ -122,14 +122,14 @@ pub use extra::{all, any, append, max_by_key, min_by_key, unzip, Append};
 pub use fallible::TrySeqExt;
 pub use filter::Filtered;
 pub use flatten::{flatten, Flattened, RegionIter};
-pub use governed::{run_governed, Budget, Exceeded, GovernedExt};
+pub use governed::{run_governed, Budget, Exceeded};
 pub use bds_pool::{
     recovery_counts, run_recovered, run_recovered_counting, BlockFailed, FaultClass,
     RecoveryCounts, RetryPolicy,
 };
 pub use policy::{
     block_size, block_size_costed, force_block_size, policy, set_policy, BlockSizeGuard, Policy,
-    PolicyGuard, DEFAULT_FIXED_MULTIPLIER, MIN_BLOCK,
+    PolicyGuard, MIN_BLOCK,
 };
 pub use profile::{profile, profile_on, ProfileReport, Stage, StageReport};
 pub use scan::{Scanned, ScannedIncl};
@@ -142,7 +142,6 @@ pub use traits::{RadBlock, RadSeq, Seq};
 pub mod prelude {
     pub use crate::fallible::TrySeqExt;
     pub use crate::flatten::flatten;
-    pub use crate::governed::GovernedExt;
     pub use crate::sources::{empty, from_slice, range, repeat, tabulate};
     pub use crate::traits::{RadSeq, Seq};
 }

@@ -21,9 +21,8 @@
 //!    calibration ([`bds_cost::calibrate`]). Cheap short pipelines stay
 //!    in one block; expensive ones split down to `8·P` blocks.
 //!
-//! Select between 2 and 3 with [`set_policy`] (RAII guard) or the
-//! `BDS_BLOCK_POLICY` environment variable (`adaptive`, `fixed`, or
-//! `fixed:<k>`), read once on first use.
+//! Select between 2 and 3 with [`set_policy`] (RAII guard); adaptive
+//! is in effect until a guard says otherwise.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,10 +34,6 @@ use bds_cost::{ElemCost, SIMPLE};
 /// calibrated time rather than element count, so pipelines with very
 /// expensive elements may legitimately pick smaller blocks.
 pub const MIN_BLOCK: usize = 1024;
-
-/// Blocks-per-worker multiplier used when `BDS_BLOCK_POLICY=fixed` does
-/// not name a `k` (and the seed repository's historical value).
-pub const DEFAULT_FIXED_MULTIPLIER: usize = 8;
 
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
@@ -65,10 +60,9 @@ impl Policy {
     }
 }
 
-/// Selected policy, encoded: 0 = not yet resolved (consult
-/// `BDS_BLOCK_POLICY` on first use), 1 = adaptive, `k+1` = fixed with
+/// Selected policy, encoded: 1 = adaptive, `k+1` = fixed with
 /// multiplier `k`.
-static MODE: AtomicUsize = AtomicUsize::new(0);
+static MODE: AtomicUsize = AtomicUsize::new(1);
 
 fn encode(p: Policy) -> usize {
     match p {
@@ -87,38 +81,9 @@ fn decode(v: usize) -> Policy {
     }
 }
 
-fn parse_policy(s: &str) -> Option<Policy> {
-    match s {
-        "adaptive" => Some(Policy::Adaptive),
-        "fixed" => Some(Policy::Fixed(DEFAULT_FIXED_MULTIPLIER)),
-        _ => s
-            .strip_prefix("fixed:")
-            .and_then(|k| k.parse().ok())
-            .filter(|&k: &usize| k > 0)
-            .map(Policy::Fixed),
-    }
-}
-
-#[cold]
-fn init_policy() -> Policy {
-    let p = std::env::var("BDS_BLOCK_POLICY")
-        .ok()
-        .as_deref()
-        .and_then(parse_policy)
-        .unwrap_or(Policy::Adaptive);
-    match MODE.compare_exchange(0, encode(p), Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => p,
-        Err(winner) => decode(winner),
-    }
-}
-
-/// The currently selected [`Policy`] (resolving `BDS_BLOCK_POLICY` on
-/// the first call in the process).
+/// The currently selected [`Policy`].
 pub fn policy() -> Policy {
-    match MODE.load(Ordering::Relaxed) {
-        0 => init_policy(),
-        v => decode(v),
-    }
+    decode(MODE.load(Ordering::Relaxed))
 }
 
 /// RAII guard restoring the previous policy selection on drop; see
@@ -260,26 +225,11 @@ mod tests {
     #[test]
     fn adaptive_is_the_default_policy() {
         let _l = test_sync::test_lock();
-        // Whatever BDS_BLOCK_POLICY said at startup, a fresh guard stack
-        // restores to it; the unset-env default is Adaptive.
-        if std::env::var("BDS_BLOCK_POLICY").is_err() {
-            assert_eq!(policy(), Policy::Adaptive);
-        }
+        // With no guard alive the policy is Adaptive.
+        assert_eq!(policy(), Policy::Adaptive);
         // Tiny input under adaptive: one block, no MIN_BLOCK padding.
         let _p = set_policy(Policy::Adaptive);
         assert_eq!(block_size(1), 1);
-    }
-
-    #[test]
-    fn policy_env_spelling_parses() {
-        assert_eq!(parse_policy("adaptive"), Some(Policy::Adaptive));
-        assert_eq!(
-            parse_policy("fixed"),
-            Some(Policy::Fixed(DEFAULT_FIXED_MULTIPLIER))
-        );
-        assert_eq!(parse_policy("fixed:3"), Some(Policy::Fixed(3)));
-        assert_eq!(parse_policy("fixed:0"), None);
-        assert_eq!(parse_policy("bogus"), None);
     }
 
     #[test]

@@ -89,13 +89,13 @@
 //! chunk at a time, so it polls itself: it ticks its own ticker once per
 //! chunk it produces (`tick_n`).
 //!
-//! SIMD chunk dispatch lives in the chunked drivers ([`try_sum_chunked`]):
-//! they regroup block streams into [`crate::simd::CHUNK`]-element
-//! chunks, poll the fault injector once per chunk, and hand each chunk
-//! to the active [`crate::simd`] kernel — so the fault ordinal and the
-//! chunk seams are a pure function of the element stream, identical in
-//! every instantiation and identical to the slice kernels in
-//! [`crate::simd`].
+//! # SIMD drivers
+//!
+//! The parallel drivers of [`crate::simd`] are instantiations of the
+//! same block loops (`blockwise` and `materialize`): the consumer's
+//! index space drives the loop, each block walks its range a
+//! [`simd::CHUNK`] at a time, and the dispatched SIMD kernel is only
+//! what runs inside a chunk.
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -106,7 +106,7 @@ use bds_pool::PollTicker;
 use crate::counters;
 use crate::policy;
 use crate::profile::{self, Stage};
-use crate::simd::{self, Interrupted, SimdElem};
+use crate::simd;
 use crate::sources::Forced;
 use crate::traits::Seq;
 use crate::util::{build_vec, charge_elems, scan_sequential, BlockWriter, PartialVec};
@@ -237,8 +237,9 @@ fn solve<S: IndexedStream + ?Sized>(s: &S, downstream: ElemCost) -> Geometry {
     geometry(s.len(), s.fixed_block_size(), s.elem_cost() + downstream)
 }
 
+/// Step 3 of the protocol: report the geometry to the profiler.
 #[inline]
-fn record(stage: Stage, g: Geometry) {
+pub(crate) fn record(stage: Stage, g: Geometry) {
     profile::record_geometry(stage, g.len, g.bs, g.nb);
 }
 
@@ -388,7 +389,7 @@ where
 
 /// The block loop under [`per_block`]: run `body(j)` for every block
 /// and collect the results positionally.
-fn blockwise<T, F>(g: Geometry, body: F) -> Vec<T>
+pub(crate) fn blockwise<T, F>(g: Geometry, body: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -433,18 +434,32 @@ where
 /// chunked fill checks each chunk), and the underflow assert catches a
 /// block that wrote too little, so a broken block-length invariant is a
 /// panic instead of an unsound write.
-fn materialize<T, F>(g: Geometry, fill: F) -> Vec<T>
+pub(crate) fn materialize<T, F>(g: Geometry, fill: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &mut BlockWriter<'_, T>) + Sync,
 {
-    build_vec(g.len, |pv| {
-        bds_pool::apply(g.nb, |j| {
+    materialize_ranges(g.len, g.nb, |j| block_bounds(g.len, g.bs, j), fill)
+}
+
+/// [`materialize`] with explicit output ranges: block `j` of `nb` fills
+/// `range(j)` of one fresh buffer of `len` slots. The ranges must be
+/// disjoint and cover `0..len`; a pass whose output per block is known
+/// only after a counting pass (`simd::par_positions_eq`) writes each
+/// block at the offset its count scanned.
+pub(crate) fn materialize_ranges<T, R, F>(len: usize, nb: usize, range: R, fill: F) -> Vec<T>
+where
+    T: Send,
+    R: Fn(usize) -> (usize, usize) + Sync,
+    F: Fn(usize, &mut BlockWriter<'_, T>) + Sync,
+{
+    build_vec(len, |pv| {
+        bds_pool::apply(nb, |j| {
             // Idempotent by construction: the writer guard discards
             // its partial prefix on unwind, so a retried attempt
             // re-streams the whole block into its untouched region.
             bds_pool::recover_block(j, || {
-                let (lo, hi) = block_bounds(g.len, g.bs, j);
+                let (lo, hi) = range(j);
                 let mut w = pv.writer(lo);
                 fill(j, &mut w);
                 assert_eq!(
@@ -987,66 +1002,6 @@ where
     })
 }
 
-// ---------------------------------------------------------------------
-// Chunked SIMD drive loop
-// ---------------------------------------------------------------------
-
-/// Chunked fallible sum: the unified counterpart of
-/// [`simd::try_sum`], driving any indexed stream through the SIMD
-/// dispatch ladder one [`simd::CHUNK`] at a time.
-///
-/// Blocks are streamed **sequentially in block order** and regrouped
-/// into `CHUNK`-element chunks that ignore block seams, so the chunk
-/// structure — and therefore the ordinal at which an armed
-/// [`crate::faults`] countdown fires, and the `at` offset it reports —
-/// is a pure function of the element stream: identical for every
-/// instantiation of the core and identical to [`simd::try_sum`] on the
-/// materialized elements. bds-check asserts exactly this
-/// (`fault_legs` in `check/src/simd.rs`).
-pub fn try_sum_chunked<S, T>(s: &S) -> Result<T, Interrupted>
-where
-    S: IndexedStream<Item = T> + ?Sized,
-    T: SimdElem,
-{
-    let level = simd::active_level();
-    let g = solve(s, SIMPLE);
-    let mut acc = T::ZERO;
-    let mut buf: Vec<T> = Vec::with_capacity(simd::CHUNK.min(g.len));
-    let mut at = 0;
-    let flush = |buf: &mut Vec<T>, acc: &mut T, at: &mut usize| {
-        if crate::faults::poll() {
-            return Err(Interrupted { at: *at });
-        }
-        *acc = acc.add(T::sum_chunk(level, buf));
-        *at += buf.len();
-        buf.clear();
-        Ok(())
-    };
-    for j in 0..g.nb {
-        pull(s, g, j).try_fold((), |(), x| {
-            buf.push(x);
-            if buf.len() == simd::CHUNK {
-                flush(&mut buf, &mut acc, &mut at)?;
-            }
-            Ok(())
-        })?;
-    }
-    if !buf.is_empty() {
-        flush(&mut buf, &mut acc, &mut at)?;
-    }
-    Ok(acc)
-}
-
-/// [`try_sum_chunked`] over any [`Seq`] — the monomorphized/erased
-/// entry point of the chunked SIMD drive loop.
-pub fn try_sum_seq<S>(s: &S) -> Result<S::Item, Interrupted>
-where
-    S: Seq + ?Sized,
-    S::Item: SimdElem,
-{
-    try_sum_chunked(&of_seq(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1079,7 +1034,6 @@ mod tests {
         let (_, seeds, total) = scan_seeds(&of_seq(&s), 3, &|a, b| a + b);
         assert!(seeds.is_empty());
         assert_eq!(total, 3);
-        assert_eq!(try_sum_chunked(&of_seq(&s)), Ok(0u64));
     }
 
     #[test]
@@ -1188,39 +1142,6 @@ mod tests {
                     assert_eq!(kept.iter().sum::<usize>(), want.len(), "{what}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn chunked_sum_matches_simd_kernel_and_chunk_ordinals() {
-        let _l = crate::policy::test_sync::test_lock();
-        let xs: Vec<u64> = (0..simd::CHUNK as u64 * 3 + 17).map(|i| i * i).collect();
-        let s = from_slice(&xs);
-        assert_eq!(try_sum_seq(&s), simd::try_sum(&xs));
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn chunked_sum_faults_at_identical_ordinals() {
-        let _l = crate::policy::test_sync::test_lock();
-        let xs: Vec<u64> = (0..simd::CHUNK as u64 * 2 + 100).collect();
-        let s = from_slice(&xs);
-        for nth in 1..=3u64 {
-            let want = {
-                let _armed = crate::faults::arm(nth);
-                simd::try_sum(&xs)
-            };
-            let got = {
-                let _armed = crate::faults::arm(nth);
-                try_sum_seq(&s)
-            };
-            assert_eq!(got, want, "fault ordinal {nth}");
-            assert_eq!(
-                got,
-                Err(Interrupted {
-                    at: (nth as usize - 1) * simd::CHUNK
-                })
-            );
         }
     }
 }

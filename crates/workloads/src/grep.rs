@@ -206,44 +206,6 @@ pub fn run_simd(text: &[u8], pattern: &[u8]) -> GrepResult {
     GrepResult { lines, bytes }
 }
 
-/// Fallible SIMD version: like [`try_run_delay`] but the NUL scan is a
-/// vectorized [`bds_seq::simd::count_where`] per block (re-walked
-/// scalar for the offset only on failure), fused into the same
-/// `try_reduce` pass that locates newlines; faults are polled once per
-/// block, the SIMD granularity.
-pub fn try_run_simd(text: &[u8], pattern: &[u8]) -> Result<GrepResult, BinaryInput> {
-    use bds_seq::simd;
-    let n = text.len();
-    if n == 0 {
-        return Ok(GrepResult { lines: 0, bytes: 0 });
-    }
-    let bs = bds_seq::block_size(n);
-    let nb = n.div_ceil(bs);
-    tabulate(nb, |j| -> Result<(), BinaryInput> {
-        let lo = j * bs;
-        let hi = (lo + bs).min(n);
-        let block = &text[lo..hi];
-        if bds_seq::faults::poll() {
-            return Err(BinaryInput { pos: lo });
-        }
-        if simd::count_where(block, |c| c == 0) > 0 {
-            let i = block
-                .iter()
-                .position(|&c| c == 0)
-                .expect("count_where found a NUL");
-            return Err(BinaryInput { pos: lo + i });
-        }
-        Ok(())
-    })
-    .try_reduce(Ok(()), |a, b| {
-        a?;
-        b?;
-        Ok(Ok(()))
-    })?
-    .expect("combine propagates inner errors");
-    Ok(run_simd(text, pattern))
-}
-
 /// `rad` version: the newline filter materializes (as in `array`) but
 /// the per-line flag/length computations fuse into the reduces.
 pub fn run_rad(text: &[u8], pattern: &[u8]) -> GrepResult {
@@ -287,18 +249,6 @@ mod tests {
         assert_eq!(run_array(&text, &p.pattern), want);
         assert_eq!(run_delay(&text, &p.pattern), want);
         assert_eq!(run_simd(&text, &p.pattern), want);
-        assert_eq!(try_run_simd(&text, &p.pattern), Ok(want));
-    }
-
-    #[test]
-    fn simd_version_rejects_nul() {
-        let p = Params { n: 60_000, ..Default::default() };
-        let mut text = generate(&p);
-        text[31_337] = 0;
-        assert_eq!(
-            try_run_simd(&text, &p.pattern),
-            Err(BinaryInput { pos: 31_337 })
-        );
     }
 
     #[test]

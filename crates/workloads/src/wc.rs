@@ -163,52 +163,6 @@ pub fn run_simd(text: &[u8]) -> WcResult {
     }
 }
 
-/// Fallible SIMD version: like [`try_run_delay`] but block-at-a-time —
-/// each block is first validated with a vectorized
-/// [`bds_seq::simd::count_where`] scan (re-walked scalar for the
-/// offending offset only on failure), then counted with the SIMD wc
-/// kernel. Faults are polled once per block (the SIMD granularity)
-/// rather than per byte; the first failure cancels sibling blocks
-/// through the same `try_reduce` machinery as the scalar path.
-pub fn try_run_simd(text: &[u8]) -> Result<WcResult, WcError> {
-    use bds_seq::simd;
-    let n = text.len();
-    if n == 0 {
-        return Ok(WcResult { lines: 0, words: 0, bytes: 0 });
-    }
-    let bad = |c: u8| c < 0x20 && c != b'\n' && c != b'\r' && c != b'\t';
-    let bs = bds_seq::block_size(n);
-    let nb = n.div_ceil(bs);
-    let folded = tabulate(nb, |j| -> Result<(u64, u64), WcError> {
-        let lo = j * bs;
-        let hi = (lo + bs).min(n);
-        let block = &text[lo..hi];
-        if bds_seq::faults::poll() {
-            return Err(WcError { pos: lo, byte: text[lo] });
-        }
-        if simd::count_where(block, bad) > 0 {
-            let (i, &byte) = block
-                .iter()
-                .enumerate()
-                .find(|(_, &c)| bad(c))
-                .expect("count_where found a bad byte");
-            return Err(WcError { pos: lo + i, byte });
-        }
-        let prev = if lo == 0 { None } else { Some(text[lo - 1]) };
-        Ok(simd::wc_count_with_prev(block, prev))
-    })
-    .try_reduce(Ok((0, 0)), |a, b| {
-        let (a, b) = (a?, b?);
-        Ok(Ok((a.0 + b.0, a.1 + b.1)))
-    })?;
-    let (lines, words) = folded.expect("combine propagates inner errors");
-    Ok(WcResult {
-        lines,
-        words,
-        bytes: n as u64,
-    })
-}
-
 /// `rad` version: tabulate+reduce fused, as in `delay` (no BID ops).
 pub fn run_rad(text: &[u8]) -> WcResult {
     use bds_baseline::rad;
@@ -238,16 +192,6 @@ mod tests {
         assert_eq!(run_array(&text), want);
         assert_eq!(run_delay(&text), want);
         assert_eq!(run_simd(&text), want);
-        assert_eq!(try_run_simd(&text), Ok(want));
-    }
-
-    #[test]
-    fn simd_version_rejects_binary_input() {
-        let mut text = generate(Params { n: 200_000, seed: 9 });
-        text[123_456] = 0x01;
-        let err = try_run_simd(&text).unwrap_err();
-        assert_eq!(err, WcError { pos: 123_456, byte: 0x01 });
-        assert!(try_run_simd(&text[..123_456]).is_ok());
     }
 
     #[test]

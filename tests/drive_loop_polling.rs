@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use bds_pool::{reset_ticker_polls, ticker_polls, with_token, CancelToken, PollTicker};
 use bds_seq::dynseq::DSeq;
 use bds_seq::prelude::*;
-use bds_seq::{force_block_size, stream, unzip, Flattened, RadBlock};
+use bds_seq::{force_block_size, simd, stream, unzip, Flattened, RadBlock};
 
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -142,8 +142,20 @@ fn fallible_drive_loops_stop_within_one_poll_chunk() {
     check(&mut failures, "try_to_vec", |p| {
         let _ = zip3(p).map(Ok::<u64, ()>).try_to_vec();
     });
-    check(&mut failures, "try_sum_chunked", |p| {
-        let _ = stream::try_sum_seq(&zip3(p));
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// The SIMD drivers run the core's block loops, which walk each block a
+/// chunk at a time and poll once per chunk.
+#[test]
+fn simd_drivers_stop_within_one_poll_chunk() {
+    let mut failures = Vec::new();
+    let xs: Vec<u64> = (0..N as u64).collect();
+    check(&mut failures, "par_map", |p| {
+        simd::par_map(&xs, |x| p.see(x));
+    });
+    check(&mut failures, "par_tabulate", |p| {
+        simd::par_tabulate(N, |i| p.see(i));
     });
     assert!(failures.is_empty(), "{failures:#?}");
 }

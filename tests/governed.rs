@@ -49,7 +49,9 @@ fn warm_globals() {
         || tabulate(4096, |i| i as u64).reduce(0, |a, b| a + b),
     );
     let _ = quietly(|| {
-        tabulate(4096, |i| i as u64).to_vec_governed(Budget::unlimited().with_mem_bytes(1))
+        bds_pool::run_governed(Budget::unlimited().with_mem_bytes(1), || {
+            tabulate(4096, |i| i as u64).to_vec()
+        })
     });
 }
 
@@ -74,11 +76,11 @@ fn deadline_cancels_a_huge_pipeline_within_two_x() {
     let started = Instant::now();
     let r = quietly(|| {
         pool.install(|| {
-            tabulate(100_000_000usize, |i| {
-                std::hint::black_box(i as u64).wrapping_mul(31).wrapping_add(7)
-            })
-            .reduce_governed(Budget::unlimited().with_deadline(deadline), 0, |a, b| {
-                a.wrapping_add(b)
+            bds_pool::run_governed(Budget::unlimited().with_deadline(deadline), || {
+                tabulate(100_000_000usize, |i| {
+                    std::hint::black_box(i as u64).wrapping_mul(31).wrapping_add(7)
+                })
+                .reduce(0, |a, b| a.wrapping_add(b))
             })
         })
     });
@@ -110,9 +112,9 @@ fn memory_budget_refuses_materialization_without_leaking() {
     let pool = Pool::new(2);
     let r = quietly(|| {
         pool.install(|| {
-            tabulate(1_000_000usize, |i| i as u64)
-                .map(|x| x * 3)
-                .to_vec_governed(Budget::unlimited().with_mem_bytes(64 * 1024))
+            bds_pool::run_governed(Budget::unlimited().with_mem_bytes(64 * 1024), || {
+                tabulate(1_000_000usize, |i| i as u64).map(|x| x * 3).to_vec()
+            })
         })
     });
 
@@ -135,12 +137,11 @@ fn sufficient_budget_returns_the_ungoverned_value() {
 
     let want: u64 = pool.install(|| tabulate(100_000, |i| i as u64).reduce(0, |a, b| a + b));
     let got = pool.install(|| {
-        tabulate(100_000, |i| i as u64).reduce_governed(
+        bds_pool::run_governed(
             Budget::unlimited()
                 .with_deadline(Duration::from_secs(60))
                 .with_mem_bytes(16 << 20),
-            0,
-            |a, b| a + b,
+            || tabulate(100_000, |i| i as u64).reduce(0, |a, b| a + b),
         )
     });
     assert_eq!(got, Ok(want));

@@ -207,26 +207,22 @@ fn governed_memory_trip_point_identical_mono_vs_erased() {
 
     // Plain materialization: one up-front charge in the drive loop.
     let mono = |b: usize| {
-        quietly(|| {
-            pipe(&xs)
-                .to_vec_governed(Budget::unlimited().with_mem_bytes(b))
-                .is_ok()
-        })
+        quietly(|| run_governed(Budget::unlimited().with_mem_bytes(b), || pipe(&xs).to_vec()).is_ok())
     };
     let erased = |b: usize| {
         quietly(|| {
-            BoxSeq::new(pipe(&xs))
-                .to_vec_governed(Budget::unlimited().with_mem_bytes(b))
-                .is_ok()
+            run_governed(Budget::unlimited().with_mem_bytes(b), || {
+                BoxSeq::new(pipe(&xs)).to_vec()
+            })
+            .is_ok()
         })
     };
     let mono_trip = trip_point(&mono);
     let erased_trip = trip_point(&erased);
     assert_eq!(mono_trip, erased_trip, "to_vec trip points diverged");
     let under = Budget::unlimited().with_mem_bytes(mono_trip - 1);
-    let mono_err = quietly(|| pipe(&xs).to_vec_governed(under));
-    let erased_err =
-        quietly(|| BoxSeq::new(pipe(&xs)).to_vec_governed(under));
+    let mono_err = quietly(|| run_governed(under, || pipe(&xs).to_vec()));
+    let erased_err = quietly(|| run_governed(under, || BoxSeq::new(pipe(&xs)).to_vec()));
     assert_eq!(mono_err, Err(Exceeded::Memory));
     assert_eq!(erased_err, Err(Exceeded::Memory));
 
