@@ -1,6 +1,7 @@
-//! The raw-speed A/B: SIMD lowering and NUMA-aware placement.
+//! The SIMD A/B: SIMD lowering against scalar and striped
+//! baselines.
 //!
-//! Three experiments in one binary:
+//! Two experiments in one binary:
 //!
 //! 1. **SIMD vs scalar** — mandelbrot and the image filter chain at
 //!    every dispatch level the CPU supports (forced via
@@ -10,76 +11,19 @@
 //!    so outputs are bit-identical and checksum-verified here.
 //! 2. **Byte kernels** — grep and wc with their `run_simd` variants at
 //!    forced scalar and at the best detected level, against `run_delay`.
-//! 3. **Placement** — the mandelbrot SIMD leg on a grouped pool with 1
-//!    vs 2 placement groups (steal-locally-first victim ordering),
-//!    exporting `cross_steals` so the locality effect is auditable.
 //!
 //! Flags: `--quick`/`--full` (scale), `--json <path>` (machine-readable
-//! export, schema `bds-bench/v2`). The placement records carry
-//! `policy: "groups:<g>"`; SIMD legs carry `library: "simd:<level>"`.
-//! `BDS_NUMA_GROUPS` is *not* consulted here — group counts are pinned
-//! per record so the A/B is explicit.
+//! export, schema `bds-bench/v2`). SIMD legs carry
+//! `library: "simd:<level>"`.
 
 use bds_bench::json::{JsonReport, Record};
-use bds_bench::{arg_value, max_procs, measure_full, Protocol, Scale};
+use bds_bench::{arg_value, max_procs, measure_full, Scale};
 use bds_metrics::{fmt_ratio, fmt_secs, Table};
 use bds_seq::simd::{self, SimdLevel};
 use bds_workloads::{grep, image, mandelbrot, wc};
 
 #[global_allocator]
 static ALLOC: bds_metrics::CountingAlloc = bds_metrics::CountingAlloc;
-
-/// One measured row of the printed tables / JSON export.
-struct Row {
-    op: &'static str,
-    library: String,
-    n: usize,
-    record: Record,
-    mean_s: f64,
-    min_s: f64,
-}
-
-fn push_measurement(
-    rows: &mut Vec<Row>,
-    op: &'static str,
-    library: &str,
-    n: usize,
-    m: &bds_bench::Measurement,
-) {
-    rows.push(Row {
-        op,
-        library: library.to_string(),
-        n,
-        record: Record::from_measurement(op, library, n, m),
-        mean_s: m.timing.mean,
-        min_s: m.timing.min,
-    });
-}
-
-/// Time `f` on a grouped pool and snapshot the scheduler counters —
-/// `measure_full` always builds an ungrouped pool, and the placement
-/// A/B needs `cross_steals` from a pool with a pinned group count.
-fn measure_grouped<R: Send>(
-    procs: usize,
-    groups: usize,
-    proto: Protocol,
-    mut f: impl FnMut() -> R + Send,
-) -> (bds_metrics::Timing, usize, bds_pool::WorkerStats) {
-    let pool = bds_pool::Pool::new_grouped(procs, groups);
-    let f = &mut f;
-    let before = pool.stats().total();
-    let (timing, peak_bytes) =
-        bds_metrics::time_stats_with_warmup(proto.warmup, proto.repeat, || {
-            pool.install(&mut *f)
-        });
-    let mut total = pool.stats().total();
-    // Only the delta over this measurement is interesting; warmup noise
-    // is included, which is fine for a ratio-of-ratios comparison.
-    total.steals -= before.steals;
-    total.cross_steals -= before.cross_steals;
-    total.jobs_executed -= before.jobs_executed;
-    (timing, peak_bytes, total)
-}
 
 fn main() {
     let scale = Scale::from_args();
@@ -89,13 +33,13 @@ fn main() {
     let procs = max_procs();
     let levels = simd::supported_levels();
     println!(
-        "SIMD & placement A/B (scale: {:?}, P = {procs}, levels: {:?})",
+        "SIMD A/B (scale: {:?}, P = {procs}, levels: {:?})",
         scale,
         levels.iter().map(|l| l.name()).collect::<Vec<_>>(),
     );
     println!();
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<Record> = Vec::new();
 
     // -- mandelbrot ------------------------------------------------------
     let mandel = mandelbrot::Params {
@@ -107,7 +51,7 @@ fn main() {
         let n = mandel.pixels();
         let oracle = mandelbrot::checksum(&mandelbrot::reference(mandel));
         let m = measure_full(1, proto, capture, || mandelbrot::reference(mandel));
-        push_measurement(&mut rows, "mandelbrot", "seq", n, &m);
+        rows.push(Record::from_measurement("mandelbrot", "seq", n, &m));
         let rayon_pool = rayon::ThreadPoolBuilder::new()
             .num_threads(procs)
             .build()
@@ -115,14 +59,14 @@ fn main() {
         let m = measure_full(procs, proto, capture, || {
             rayon_pool.install(|| mandelbrot::run_rayon(mandel))
         });
-        push_measurement(&mut rows, "mandelbrot", "rayon", n, &m);
+        rows.push(Record::from_measurement("mandelbrot", "rayon", n, &m));
         let m = measure_full(procs, proto, capture, || mandelbrot::run_delay(mandel));
-        push_measurement(&mut rows, "mandelbrot", "delay", n, &m);
+        rows.push(Record::from_measurement("mandelbrot", "delay", n, &m));
         for &level in &levels {
             let guard = simd::force_level(level);
             assert_eq!(guard.applied(), level);
             let m = measure_full(procs, proto, capture, || mandelbrot::run_simd(mandel));
-            push_measurement(&mut rows, "mandelbrot", &format!("simd:{}", level.name()), n, &m);
+            rows.push(Record::from_measurement("mandelbrot", &format!("simd:{}", level.name()), n, &m));
             assert_eq!(
                 mandelbrot::checksum(&mandelbrot::run_simd(mandel)),
                 oracle,
@@ -143,7 +87,7 @@ fn main() {
         let img = image::generate(img_p);
         let oracle = image::checksum(&image::reference(img_p, &img));
         let m = measure_full(1, proto, capture, || image::reference(img_p, &img));
-        push_measurement(&mut rows, "image", "seq", n, &m);
+        rows.push(Record::from_measurement("image", "seq", n, &m));
         let rayon_pool = rayon::ThreadPoolBuilder::new()
             .num_threads(procs)
             .build()
@@ -151,13 +95,13 @@ fn main() {
         let m = measure_full(procs, proto, capture, || {
             rayon_pool.install(|| image::run_rayon(img_p, &img))
         });
-        push_measurement(&mut rows, "image", "rayon", n, &m);
+        rows.push(Record::from_measurement("image", "rayon", n, &m));
         let m = measure_full(procs, proto, capture, || image::run_delay(img_p, &img));
-        push_measurement(&mut rows, "image", "delay", n, &m);
+        rows.push(Record::from_measurement("image", "delay", n, &m));
         for &level in &levels {
             let _guard = simd::force_level(level);
             let m = measure_full(procs, proto, capture, || image::run_simd(img_p, &img));
-            push_measurement(&mut rows, "image", &format!("simd:{}", level.name()), n, &m);
+            rows.push(Record::from_measurement("image", &format!("simd:{}", level.name()), n, &m));
             assert_eq!(
                 image::checksum(&image::run_simd(img_p, &img)),
                 oracle,
@@ -177,11 +121,11 @@ fn main() {
         let text = grep::generate(&p);
         let pat = p.pattern.clone();
         let m = measure_full(procs, proto, capture, || grep::run_delay(&text, &pat));
-        push_measurement(&mut rows, "grep", "delay", p.n, &m);
+        rows.push(Record::from_measurement("grep", "delay", p.n, &m));
         for &level in &byte_levels {
             let _guard = simd::force_level(level);
             let m = measure_full(procs, proto, capture, || grep::run_simd(&text, &pat));
-            push_measurement(&mut rows, "grep", &format!("simd:{}", level.name()), p.n, &m);
+            rows.push(Record::from_measurement("grep", &format!("simd:{}", level.name()), p.n, &m));
         }
     }
     {
@@ -191,17 +135,17 @@ fn main() {
             ..Default::default()
         });
         let m = measure_full(procs, proto, capture, || wc::run_delay(&text));
-        push_measurement(&mut rows, "wc", "delay", n, &m);
+        rows.push(Record::from_measurement("wc", "delay", n, &m));
         for &level in &byte_levels {
             let _guard = simd::force_level(level);
             let m = measure_full(procs, proto, capture, || wc::run_simd(&text));
-            push_measurement(&mut rows, "wc", &format!("simd:{}", level.name()), n, &m);
+            rows.push(Record::from_measurement("wc", &format!("simd:{}", level.name()), n, &m));
         }
     }
 
     // -- printed summary -------------------------------------------------
     for op in ["mandelbrot", "image", "grep", "wc"] {
-        let op_rows: Vec<&Row> = rows.iter().filter(|r| r.op == op).collect();
+        let op_rows: Vec<&Record> = rows.iter().filter(|r| r.op == op).collect();
         let baseline = op_rows
             .iter()
             .find(|r| r.library == "rayon" || r.library == "delay")
@@ -220,57 +164,15 @@ fn main() {
         println!("{}", t.render());
     }
 
-    // -- placement: grouped pools, local-first stealing ------------------
-    println!("== placement (mandelbrot simd, P = {procs}) ==");
-    let mut t = Table::new(vec!["groups", "mean", "min", "steals", "cross_steals"]);
-    for groups in [1usize, 2] {
-        let (timing, peak_bytes, sched) =
-            measure_grouped(procs, groups, proto, || mandelbrot::run_simd(mandel));
-        t.row(vec![
-            groups.to_string(),
-            fmt_secs(timing.mean),
-            fmt_secs(timing.min),
-            sched.steals.to_string(),
-            sched.cross_steals.to_string(),
-        ]);
-        rows.push(Row {
-            op: "mandelbrot-numa",
-            library: "simd".to_string(),
-            n: mandel.pixels(),
-            mean_s: timing.mean,
-            min_s: timing.min,
-            record: Record {
-                op: "mandelbrot-numa".to_string(),
-                library: "simd".to_string(),
-                n: mandel.pixels(),
-                procs,
-                policy: Some(format!("groups:{groups}")),
-                mean_s: timing.mean,
-                min_s: timing.min,
-                stddev_s: timing.stddev,
-                repeats: timing.repeats,
-                peak_bytes,
-                block_size: 0,
-                num_blocks: 0,
-                sched: Some(sched),
-                gov: None,
-                svc: None,
-                plan: None,
-                recovery: None,
-            },
-        });
-    }
-    println!("{}", t.render());
     println!(
         "Expected shape: simd at the top level beats rayon and delay on \
-         mandelbrot/image; grep/wc simd legs at or above delay; groups:2 \
-         shows cross_steals well below total steals."
+         mandelbrot/image; grep/wc simd legs at or above delay."
     );
 
     if let Some(path) = json_path {
         let mut rep = JsonReport::new("simd", scale.name());
         for row in rows {
-            rep.push(row.record);
+            rep.push(row);
         }
         match rep.write(&path) {
             Ok(()) => println!("wrote {path}"),

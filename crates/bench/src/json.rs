@@ -18,7 +18,7 @@
 //!       "block_size": 1563, "num_blocks": 128,
 //!       "sched": {
 //!         "jobs": 640, "local_pops": 500, "injector_pops": 30,
-//!         "steals": 110, "cross_steals": 17, "failed_steals": 45,
+//!         "steals": 110, "failed_steals": 45,
 //!         "parks": 12, "idle_ns": 123456
 //!       },
 //!       "gov": {
@@ -301,13 +301,11 @@ impl JsonReport {
                         out,
                         "\"sched\": {{\"jobs\": {}, \"local_pops\": {}, \
                          \"injector_pops\": {}, \"steals\": {}, \
-                         \"cross_steals\": {}, \"failed_steals\": {}, \
-                         \"parks\": {}, \"idle_ns\": {}}}",
+                         \"failed_steals\": {}, \"parks\": {}, \"idle_ns\": {}}}",
                         s.jobs_executed,
                         s.local_pops,
                         s.injector_pops,
                         s.steals,
-                        s.cross_steals,
                         s.failed_steals,
                         s.parks,
                         s.idle_ns
@@ -509,7 +507,7 @@ mod tests {
         assert!(s.contains("\"policy\": null"));
         assert!(s.contains("\"figure\": \"fig13\""));
         assert!(s.contains("\"min_s\": 0.25"));
-        assert!(s.contains("\"steals\": 7, \"cross_steals\": 0"));
+        assert!(s.contains("\"steals\": 7, \"failed_steals\": 0"));
         assert!(s.contains("\"sched\": null"));
         assert!(s.contains(
             "\"gov\": {\"sheds\": 2, \"respawns\": 1, \"deadline_trips\": 12, \"mem_trips\": 3}"

@@ -3,8 +3,7 @@
 //! The paper's library needs exactly one parallel primitive, `apply`
 //! (Figure 7): run `f(i)` for every `0 <= i < n` in parallel. The paper
 //! inherits it from the ParlayLib / MPL work-stealing schedulers; this
-//! crate reproduces that substrate: a Chase-Lev work-stealing fork-join
-//! pool with
+//! crate reproduces that substrate: a work-stealing fork-join pool with
 //!
 //! * [`join`] — run two closures, potentially in parallel, with the
 //!   classic stack-job + helping-waiter protocol;
@@ -17,6 +16,12 @@
 //!
 //! Calls made while not on a pool thread transparently run on a lazily
 //! created global pool sized by [`std::thread::available_parallelism`].
+//!
+//! Each worker owns a LIFO deque that idle peers steal from, written
+//! against the `crossbeam-deque` Chase-Lev API. In this offline build
+//! that API is served by `vendor/crossbeam-deque`, a `Mutex<VecDeque>`
+//! stand-in: every push, pop and steal takes a lock. It is not a
+//! lock-free Chase-Lev deque.
 //!
 //! ```
 //! let total: u64 = bds_pool::Pool::new(2).install(|| {
@@ -32,7 +37,6 @@ mod job;
 mod latch;
 pub mod recovery;
 mod registry;
-mod scope;
 pub mod stats;
 
 pub use cancel::{apply_cancellable, CancelToken, PollTicker};
@@ -104,53 +108,20 @@ impl Pool {
     /// # Panics
     /// Panics if `num_threads == 0`.
     pub fn new(num_threads: usize) -> Pool {
-        let (registry, handles) = Registry::new(num_threads, None, None, None);
+        let (registry, handles) = Registry::new(num_threads, None, None);
         Pool { registry, handles }
     }
 
-    /// Create a pool whose workers are partitioned into exactly
-    /// `num_groups` placement groups (contiguous ranges of worker
-    /// indices, as equal-sized as divisibility allows). Idle workers
-    /// sweep same-group victims before crossing a group boundary, and
-    /// successful cross-group steals are counted in
-    /// [`WorkerStats::cross_steals`] — the steal-locally-first
-    /// discipline that keeps work on the socket that owns its cache
-    /// lines.
-    ///
-    /// The other constructors pick the group count automatically:
-    /// `BDS_NUMA_GROUPS` if set, else one group per NUMA node probed
-    /// from `/sys/devices/system/node` (so single-socket machines get
-    /// one group and the classic randomized sweep). This constructor
-    /// overrides both, for in-process A/B comparisons.
-    ///
-    /// `num_groups` is clamped to `[1, num_threads]`.
-    ///
-    /// # Panics
-    /// Panics if `num_threads == 0`.
-    pub fn new_grouped(num_threads: usize, num_groups: usize) -> Pool {
-        let (registry, handles) = Registry::new(num_threads, None, None, Some(num_groups.max(1)));
-        Pool { registry, handles }
-    }
-
-    /// Number of placement groups this pool's workers are partitioned
-    /// into (1 unless NUMA grouping is active).
+    /// Number of placement groups the workers are partitioned into:
+    /// always 1. The pool steals from every peer alike.
     pub fn num_groups(&self) -> usize {
-        self.registry.num_groups()
-    }
-
-    /// Placement group of worker `index`.
-    ///
-    /// # Panics
-    /// Panics if `index >= num_threads()`.
-    pub fn worker_group(&self, index: usize) -> usize {
-        assert!(index < self.num_threads(), "worker index out of range");
-        self.registry.group_of(index)
+        1
     }
 
     /// Create a pool with an explicit admission cap: at most
     /// `max_inflight` external [`Pool::install`] calls are admitted
     /// concurrently; the rest shed to degraded in-caller execution.
-    /// The other constructors set no cap: they shed on saturation only.
+    /// The other constructors set no cap, and their pools never shed.
     ///
     /// The cap is strict: admission uses a compare-and-swap, so
     /// concurrent racers at the boundary shed rather than overshoot.
@@ -159,8 +130,7 @@ impl Pool {
     /// Panics if `num_threads == 0` or `max_inflight == 0`.
     pub fn with_max_inflight(num_threads: usize, max_inflight: usize) -> Pool {
         assert!(max_inflight > 0, "an admission cap of 0 admits nothing");
-        let (registry, handles) =
-            Registry::new(num_threads, None, Some(max_inflight), None);
+        let (registry, handles) = Registry::new(num_threads, None, Some(max_inflight));
         Pool { registry, handles }
     }
 
@@ -181,7 +151,7 @@ impl Pool {
     /// # Panics
     /// Panics if `num_threads == 0`.
     pub fn new_seeded(num_threads: usize, seed: u64) -> Pool {
-        let (registry, handles) = Registry::new(num_threads, Some(seed), None, None);
+        let (registry, handles) = Registry::new(num_threads, Some(seed), None);
         Pool { registry, handles }
     }
 
@@ -194,7 +164,10 @@ impl Pool {
     ///
     /// While `f` runs, `join`/`parallel_for`/`apply` calls it makes use
     /// this pool's workers. If the calling thread is already a worker of
-    /// this pool, `f` runs directly.
+    /// this pool, `f` runs directly. Otherwise `f` is injected as a root
+    /// job and starts with no ambient cancellation token, wherever it
+    /// runs; only a call shed by a [`Pool::with_max_inflight`] cap runs
+    /// on the caller, under the caller's token.
     pub fn install<F, R>(&self, f: F) -> R
     where
         F: FnOnce() -> R + Send,
@@ -205,18 +178,26 @@ impl Pool {
                 return f();
             }
         }
-        // Admission control: under sustained saturation (or past the
-        // in-flight cap) run `f` degraded — sequentially on the calling
-        // thread — instead of queueing unboundedly. The caller still
-        // gets a correct result; it just doesn't get parallelism.
-        // Seeded pools never shed. Either arm holds its RAII gauge
+        // Admission control: past the in-flight cap, run `f` degraded —
+        // sequentially on the calling thread — instead of queueing
+        // unboundedly. The caller still gets a correct result; it just
+        // doesn't get parallelism. Either arm holds its RAII gauge
         // guard for the whole execution, so a panicking closure still
         // balances the in-flight accounting.
         let _admission = match self.registry.try_admit() {
             Admission::Admitted(guard) => guard,
             Admission::Shed(_shed) => return run_degraded(f),
         };
-        let job = StackJob::new(f, LockLatch::new());
+        let job = StackJob::new(
+            move || {
+                // An injected root, like a spawned job: a worker waiting
+                // on a join latch may run it nested inside another job,
+                // whose token must not leak into it.
+                let _root = cancel::install(None);
+                f()
+            },
+            LockLatch::new(),
+        );
         // SAFETY: we block on the latch below, so the stack frame (and the
         // job in it) outlives the unique execution of the JobRef.
         let job_ref = unsafe { job.as_job_ref() };
@@ -293,14 +274,6 @@ impl Pool {
     /// for field meanings and the accounting invariant.
     pub fn stats(&self) -> PoolStats {
         self.registry.stats()
-    }
-
-    /// Zero the pool's scheduler counters, so the next [`Pool::stats`]
-    /// reflects only work submitted after this call. Intended between
-    /// benchmark regions (e.g. between `install` calls); resetting while
-    /// jobs are in flight may lose concurrent increments.
-    pub fn reset_stats(&self) {
-        self.registry.reset_stats();
     }
 
     /// Estimate how many of this pool's workers are free to pick up new
@@ -453,13 +426,6 @@ pub fn running_degraded() -> bool {
     is_degraded()
 }
 
-pub use scope::{scope, Scope};
-
-/// Registry of the global pool (crate-internal: external-thread spawns).
-pub(crate) fn global_pool_registry() -> &'static Arc<registry::Registry> {
-    &global_pool().registry
-}
-
 fn global_pool() -> &'static Pool {
     static_global_pool_cell().get_or_init(|| {
         let n = std::thread::available_parallelism()
@@ -513,15 +479,6 @@ pub fn pool_stats() -> PoolStats {
     match WorkerThread::current() {
         Some(worker) => worker.registry().stats(),
         None => global_pool().stats(),
-    }
-}
-
-/// Reset the scheduler statistics of the ambient pool; see
-/// [`pool_stats`] and [`Pool::reset_stats`].
-pub fn reset_pool_stats() {
-    match WorkerThread::current() {
-        Some(worker) => worker.registry().reset_stats(),
-        None => global_pool().reset_stats(),
     }
 }
 
@@ -685,6 +642,10 @@ where
 /// Fold `0..n` in parallel: map each grain-sized chunk sequentially with
 /// `fold(lo, hi)`, then combine chunk results with `combine`. Used by the
 /// eager array baselines.
+///
+/// Each chunk runs under the caller's ambient [`CancelToken`], if any,
+/// on whichever worker runs it, so a [`recover_block`] or a budget
+/// inside `fold` sees the caller's region.
 pub fn parallel_reduce<T, FOLD, COMBINE>(
     n: usize,
     grain: usize,
@@ -703,6 +664,7 @@ where
         grain: usize,
         fold: &FOLD,
         combine: &COMBINE,
+        token: Option<&CancelToken>,
     ) -> T
     where
         T: Send,
@@ -710,12 +672,15 @@ where
         COMBINE: Fn(T, T) -> T + Sync,
     {
         if hi - lo <= grain {
+            // A stolen chunk runs on a thread that does not hold the
+            // caller's token: re-install it, as `pfg_cancellable` does.
+            let _ambient = token.map(|t| cancel::install(Some(t.clone())));
             return fold(lo, hi);
         }
         let mid = lo + (hi - lo) / 2;
         let (left, right) = join(
-            || rec(lo, mid, grain, fold, combine),
-            || rec(mid, hi, grain, fold, combine),
+            || rec(lo, mid, grain, fold, combine, token),
+            || rec(mid, hi, grain, fold, combine, token),
         );
         combine(left, right)
     }
@@ -723,7 +688,8 @@ where
     if n == 0 {
         return identity;
     }
-    let folded = rec(0, n, grain, fold, combine);
+    let token = cancel::current_token();
+    let folded = rec(0, n, grain, fold, combine, token.as_ref());
     combine(identity, folded)
 }
 
@@ -808,14 +774,54 @@ mod tests {
     }
 
     #[test]
+    fn parallel_reduce_chunks_run_under_the_callers_token() {
+        let pool = Pool::new(2);
+        let token = CancelToken::new();
+        let stolen = std::sync::atomic::AtomicBool::new(false);
+        let with_token = pool.install(|| {
+            cancel::with_token(&token, || {
+                parallel_reduce(
+                    2,
+                    1,
+                    0usize,
+                    &|lo, _| {
+                        if lo == 0 {
+                            // Chunk 1 now runs on the other worker.
+                            let deadline = std::time::Instant::now()
+                                + std::time::Duration::from_secs(10);
+                            while !stolen.load(Ordering::SeqCst) {
+                                assert!(std::time::Instant::now() < deadline, "never stolen");
+                                std::hint::spin_loop();
+                            }
+                        } else {
+                            stolen.store(true, Ordering::SeqCst);
+                        }
+                        usize::from(cancel::current_token().is_some())
+                    },
+                    &|a, b| a + b,
+                )
+            })
+        });
+        assert_eq!(with_token, 2, "a stolen chunk lost the caller's token");
+    }
+
+    #[test]
     fn work_actually_spreads_across_threads() {
         let pool = Pool::new(4);
         let seen = Mutex::new(std::collections::HashSet::new());
         pool.install(|| {
-            parallel_for_grain(0, 4096, 1, &|_| {
-                // A little spin so tasks overlap.
-                std::hint::black_box((0..200).sum::<u64>());
+            parallel_for_grain(0, 4096, 1, &|i| {
                 seen.lock().unwrap().insert(std::thread::current().id());
+                if i == 0 {
+                    // Wait, for at most 10 s, until a peer has run an
+                    // index: the indices are too cheap for a parked peer
+                    // to wake before this worker has run them all.
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while seen.lock().unwrap().len() < 2 && std::time::Instant::now() < deadline {
+                        std::hint::spin_loop();
+                    }
+                }
+                std::hint::black_box((0..200).sum::<u64>());
             })
         });
         assert!(
@@ -934,57 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_pool_partitions_workers_contiguously() {
-        let pool = Pool::new_grouped(4, 2);
-        assert_eq!(pool.num_groups(), 2);
-        let groups: Vec<usize> = (0..4).map(|i| pool.worker_group(i)).collect();
-        assert_eq!(groups, vec![0, 0, 1, 1]);
-        // Uneven split still covers every group with contiguous ranges.
-        let pool = Pool::new_grouped(5, 2);
-        let groups: Vec<usize> = (0..5).map(|i| pool.worker_group(i)).collect();
-        assert_eq!(groups, vec![0, 0, 0, 1, 1]);
-        // Group count clamps to the worker count.
-        let pool = Pool::new_grouped(2, 8);
-        assert_eq!(pool.num_groups(), 2);
-    }
-
-    #[test]
-    fn grouped_pool_computes_correctly_and_counts_cross_steals() {
-        let pool = Pool::new_grouped(4, 2);
-        let total = pool.install(|| {
-            parallel_reduce(
-                100_000,
-                64,
-                0u64,
-                &|lo, hi| (lo..hi).map(|i| i as u64).sum(),
-                &|a, b| a + b,
-            )
-        });
-        assert_eq!(total, 99_999u64 * 100_000 / 2);
-        let stats = pool.stats();
-        assert_eq!(stats.num_groups, 2);
-        let t = stats.total();
-        assert!(
-            t.cross_steals <= t.steals,
-            "cross-group steals are a subset of steals"
-        );
-        // Accounting invariant holds under grouped stealing too.
-        assert_eq!(t.jobs_found(), t.jobs_executed);
-    }
-
-    #[test]
-    fn single_group_pool_reports_no_cross_steals() {
-        let pool = Pool::new_grouped(4, 1);
-        pool.install(|| {
-            parallel_for(50_000, |i| {
-                std::hint::black_box(i);
-            })
-        });
-        let t = pool.stats().total();
-        assert_eq!(t.cross_steals, 0, "one group has no boundary to cross");
-    }
-
-    #[test]
     fn current_num_threads_reports_enclosing_pool() {
         let pool = Pool::new(3);
         assert_eq!(pool.install(current_num_threads), 3);
@@ -1038,110 +993,5 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "gauge never cleared");
             std::hint::spin_loop();
         }
-    }
-}
-
-/// Run three closures, potentially in parallel.
-pub fn join3<A, B, C, RA, RB, RC>(a: A, b: B, c: C) -> (RA, RB, RC)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    C: FnOnce() -> RC + Send,
-    RA: Send,
-    RB: Send,
-    RC: Send,
-{
-    let (ra, (rb, rc)) = join(a, || join(b, c));
-    (ra, rb, rc)
-}
-
-/// Run four closures, potentially in parallel.
-pub fn join4<A, B, C, D, RA, RB, RC, RD>(a: A, b: B, c: C, d: D) -> (RA, RB, RC, RD)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    C: FnOnce() -> RC + Send,
-    D: FnOnce() -> RD + Send,
-    RA: Send,
-    RB: Send,
-    RC: Send,
-    RD: Send,
-{
-    let ((ra, rb), (rc, rd)) = join(|| join(a, b), || join(c, d));
-    (ra, rb, rc, rd)
-}
-
-/// Run a batch of heterogeneous closures in parallel (divide-and-conquer
-/// over the batch), returning their results in order. Each closure runs
-/// exactly once; the batch is the unit of load balancing, so closures of
-/// very different costs still spread across workers.
-pub fn join_all<T, F>(tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    fn rec<T, F>(mut tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        match tasks.len() {
-            0 => Vec::new(),
-            1 => vec![(tasks.pop().unwrap())()],
-            n => {
-                let right = tasks.split_off(n / 2);
-                let (mut left, right) = join(|| rec(tasks), || rec(right));
-                left.extend(right);
-                left
-            }
-        }
-    }
-    rec(tasks)
-}
-
-#[cfg(test)]
-mod join_all_tests {
-    use super::*;
-
-    #[test]
-    fn join3_and_join4_order() {
-        let pool = Pool::new(2);
-        let (a, b, c) = pool.install(|| join3(|| 1, || "two", || 3.0));
-        assert_eq!((a, b, c), (1, "two", 3.0));
-        let (w, x, y, z) = pool.install(|| join4(|| 1, || 2, || 3, || 4));
-        assert_eq!((w, x, y, z), (1, 2, 3, 4));
-    }
-
-    #[test]
-    fn join_all_preserves_order() {
-        let pool = Pool::new(4);
-        let tasks: Vec<_> = (0..100)
-            .map(|i| move || i * i)
-            .collect();
-        let results = pool.install(|| join_all(tasks));
-        assert!(results.iter().enumerate().all(|(i, &r)| r == i * i));
-    }
-
-    #[test]
-    fn join_all_empty_and_single() {
-        let empty: Vec<fn() -> i32> = vec![];
-        assert!(join_all(empty).is_empty());
-        assert_eq!(join_all(vec![|| 42]), vec![42]);
-    }
-
-    #[test]
-    fn join_all_uneven_costs() {
-        let pool = Pool::new(3);
-        let tasks: Vec<_> = (0..32usize)
-            .map(|i| {
-                move || {
-                    // Cost varies 1000x across tasks.
-                    let spins = if i % 7 == 0 { 100_000 } else { 100 };
-                    (0..spins).map(|k| k as u64).sum::<u64>()
-                }
-            })
-            .collect();
-        let results = pool.install(|| join_all(tasks));
-        assert_eq!(results.len(), 32);
     }
 }

@@ -23,16 +23,6 @@ pub(crate) struct Registry {
     idle_workers: AtomicUsize,
     terminate: AtomicBool,
     num_threads: usize,
-    /// Placement group of each worker (contiguous ranges of worker
-    /// indices, one range per group). Victim selection in `find_work`
-    /// sweeps same-group peers before crossing a group boundary, and a
-    /// successful cross-group steal is counted separately — the
-    /// steal-locally-first discipline NUMA-aware schedulers use to keep
-    /// work on the socket that owns its cache lines.
-    groups: Vec<usize>,
-    /// Number of distinct placement groups (`1` = no grouping; victim
-    /// order then degenerates to the classic single randomized sweep).
-    num_groups: usize,
     /// `Some(seed)` puts the pool in deterministic mode: worker steal
     /// RNGs are derived from the seed and [`Registry::live_workers`]
     /// reports `num_threads` unconditionally, so schedule-dependent
@@ -59,7 +49,7 @@ pub(crate) struct Registry {
     /// not consume admission slots.
     degraded_inflight: AtomicUsize,
     /// Admission cap ([`crate::Pool::with_max_inflight`]); `None` means
-    /// no explicit cap, saturation shedding only.
+    /// no cap: the pool never sheds.
     max_inflight: Option<usize>,
     /// Named per-tenant counter slots handed out by
     /// [`Registry::tenant_slot`]; snapshotted into
@@ -94,16 +84,8 @@ impl Registry {
         num_threads: usize,
         seed: Option<u64>,
         max_inflight: Option<usize>,
-        num_groups: Option<usize>,
     ) -> (Arc<Registry>, Vec<std::thread::JoinHandle<()>>) {
         assert!(num_threads > 0, "a pool needs at least one thread");
-        let num_groups = num_groups
-            .or_else(Registry::env_numa_groups)
-            .unwrap_or_else(probe_numa_nodes)
-            .clamp(1, num_threads);
-        let groups = (0..num_threads)
-            .map(|idx| idx * num_groups / num_threads)
-            .collect();
         let workers: Vec<Worker<JobRef>> =
             (0..num_threads).map(|_| Worker::new_lifo()).collect();
         let stealers = workers.iter().map(Worker::stealer).collect();
@@ -115,8 +97,6 @@ impl Registry {
             idle_workers: AtomicUsize::new(0),
             terminate: AtomicBool::new(false),
             num_threads,
-            groups,
-            num_groups,
             seed,
             counters: (0..num_threads).map(|_| WorkerCounters::default()).collect(),
             kill_requests: (0..num_threads).map(|_| AtomicBool::new(false)).collect(),
@@ -144,26 +124,6 @@ impl Registry {
 
     pub(crate) fn num_threads(&self) -> usize {
         self.num_threads
-    }
-
-    pub(crate) fn num_groups(&self) -> usize {
-        self.num_groups
-    }
-
-    /// Placement group of worker `index`.
-    pub(crate) fn group_of(&self, index: usize) -> usize {
-        self.groups[index]
-    }
-
-    /// The placement-group count requested by the environment
-    /// (`BDS_NUMA_GROUPS`), used by the pool constructors that do not
-    /// take an explicit group count. Zero or unparsable values are
-    /// ignored.
-    pub(crate) fn env_numa_groups() -> Option<usize> {
-        std::env::var("BDS_NUMA_GROUPS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&g| g > 0)
     }
 
     /// Push a job from an external thread.
@@ -200,7 +160,6 @@ impl Registry {
     pub(crate) fn stats(&self) -> PoolStats {
         PoolStats {
             workers: self.counters.iter().map(WorkerCounters::snapshot).collect(),
-            num_groups: self.num_groups,
             respawns: self.respawns.load(Ordering::Relaxed),
             sheds: self.sheds.load(Ordering::Relaxed),
             recovery: crate::recovery::recovery_counts(),
@@ -237,21 +196,14 @@ impl Registry {
     /// `degraded_inflight` gauge so a panic in the degraded closure
     /// still balances the books.
     ///
-    /// Sheds when the explicit `max_inflight` cap is reached, or when
-    /// the pool is saturated: every worker busy *and* the injector
-    /// backlog beyond `2 * num_threads` queued jobs. Seeded
-    /// (deterministic) pools never shed — admission decisions depend on
-    /// racy gauges, and replay must not.
+    /// Sheds only when the explicit `max_inflight` cap is reached; a
+    /// pool without a cap (every seeded pool among them) admits every
+    /// call, but still tracks the gauge.
     pub(crate) fn try_admit(&self) -> Admission<'_> {
-        // Seeded pools admit unconditionally (but still track the
-        // gauge). The explicit cap is enforced with a CAS, so `inflight`
-        // never exceeds `max_inflight`: concurrent racers at the boundary
-        // shed instead of overshooting.
-        let cap = match self.seed {
-            Some(_) => usize::MAX,
-            None if self.saturated() => 0,
-            None => self.max_inflight.unwrap_or(usize::MAX),
-        };
+        // The cap is enforced with a CAS, so `inflight` never exceeds
+        // `max_inflight`: concurrent racers at the boundary shed instead
+        // of overshooting.
+        let cap = self.max_inflight.unwrap_or(usize::MAX);
         let admitted = self
             .inflight
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
@@ -265,14 +217,6 @@ impl Registry {
             self.degraded_inflight.fetch_add(1, Ordering::SeqCst);
             Admission::Shed(ShedGuard(self))
         }
-    }
-
-    fn saturated(&self) -> bool {
-        let all_busy = self
-            .counters
-            .iter()
-            .all(|c| c.busy.load(Ordering::Relaxed) != 0);
-        all_busy && self.injector.len() > 2 * self.num_threads
     }
 
     /// Current value of the admitted-in-flight gauge.
@@ -334,14 +278,6 @@ impl Registry {
         }
     }
 
-    /// Zero every worker's counters. Concurrent increments may survive
-    /// the reset; call between regions of interest, not during them.
-    pub(crate) fn reset_stats(&self) {
-        for c in &self.counters {
-            c.reset();
-        }
-    }
-
     /// Estimate how many workers are free to pick up new top-level work:
     /// `num_threads` minus the workers whose main loop is currently
     /// inside a job, never below 1. `me` (a worker index) is excluded
@@ -367,26 +303,6 @@ impl Registry {
             .count();
         self.num_threads.saturating_sub(busy_others).max(1)
     }
-}
-
-/// Count the machine's NUMA nodes by probing
-/// `/sys/devices/system/node/node*`. Falls back to 1 (no grouping) on
-/// platforms without that sysfs tree or when it is unreadable — the
-/// pool then behaves exactly as it did before placement awareness.
-fn probe_numa_nodes() -> usize {
-    let Ok(entries) = std::fs::read_dir("/sys/devices/system/node") else {
-        return 1;
-    };
-    let nodes = entries
-        .flatten()
-        .filter(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            name.strip_prefix("node")
-                .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
-        })
-        .count();
-    nodes.max(1)
 }
 
 /// Panic payload of an injected worker crash (the fault-injection hook
@@ -583,39 +499,26 @@ impl WorkerThread {
             }
         }
         let n = self.registry.num_threads;
-        let my_group = self.registry.groups[self.index];
         let start = self.next_victim();
-        // Steal-locally-first: one randomized sweep over same-group
-        // peers, then a second over the remaining (cross-group) peers.
-        // With one group the first sweep visits everyone and the second
-        // is empty — the classic single randomized sweep. Each peer is
-        // probed at most once per idle sweep either way, so the
-        // failed-steal accounting (`P-1` per empty sweep) is unchanged.
-        for cross in [false, true] {
-            for k in 0..n {
-                let victim = (start + k) % n;
-                if victim == self.index {
-                    continue;
-                }
-                if (self.registry.groups[victim] != my_group) != cross {
-                    continue;
-                }
-                loop {
-                    match self.registry.stealers[victim].steal() {
-                        Steal::Success(job) => {
-                            WorkerCounters::bump(&counters.steals);
-                            if cross {
-                                WorkerCounters::bump(&counters.cross_steals);
-                            }
-                            WorkerCounters::bump(&counters.jobs_executed);
-                            return Some(job);
-                        }
-                        Steal::Empty => {
-                            WorkerCounters::bump(&counters.failed_steals);
-                            break;
-                        }
-                        Steal::Retry => continue,
+        // One randomized sweep over the peers: each is probed at most
+        // once, so an empty sweep adds `P-1` failed steals.
+        for k in 0..n {
+            let victim = (start + k) % n;
+            if victim == self.index {
+                continue;
+            }
+            loop {
+                match self.registry.stealers[victim].steal() {
+                    Steal::Success(job) => {
+                        WorkerCounters::bump(&counters.steals);
+                        WorkerCounters::bump(&counters.jobs_executed);
+                        return Some(job);
                     }
+                    Steal::Empty => {
+                        WorkerCounters::bump(&counters.failed_steals);
+                        break;
+                    }
+                    Steal::Retry => continue,
                 }
             }
         }

@@ -37,11 +37,6 @@ pub(crate) struct WorkerCounters {
     pub(crate) injector_pops: AtomicU64,
     /// Successful steals from a peer's deque.
     pub(crate) steals: AtomicU64,
-    /// The subset of `steals` whose victim lives in a different
-    /// placement group (see `BDS_NUMA_GROUPS` and
-    /// [`crate::Pool::new_grouped`]): work that crossed a socket
-    /// boundary. Zero on single-group pools.
-    pub(crate) cross_steals: AtomicU64,
     /// Victim probes that came up empty (one per peer scanned without
     /// finding work; a full idle sweep over `P-1` peers adds `P-1`).
     pub(crate) failed_steals: AtomicU64,
@@ -62,9 +57,8 @@ pub(crate) struct WorkerCounters {
     /// Gauge, not a counter: 1 while the worker's top-level `main_loop`
     /// frame is inside `job.execute()`, 0 otherwise. Read by
     /// [`crate::Pool::live_workers`] to estimate how many workers are
-    /// free for new work; deliberately excluded from [`snapshot`] and
-    /// [`reset`](Self::reset) — it is instantaneous state, not an
-    /// accumulated statistic.
+    /// free for new work; deliberately excluded from [`snapshot`] — it
+    /// is instantaneous state, not an accumulated statistic.
     ///
     /// [`snapshot`]: Self::snapshot
     pub(crate) busy: AtomicU64,
@@ -82,26 +76,12 @@ impl WorkerCounters {
             local_pops: self.local_pops.load(Ordering::Relaxed),
             injector_pops: self.injector_pops.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
-            cross_steals: self.cross_steals.load(Ordering::Relaxed),
             failed_steals: self.failed_steals.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             unparks: self.unparks.load(Ordering::Relaxed),
             idle_ns: self.idle_ns.load(Ordering::Relaxed),
             heartbeats: self.heartbeats.load(Ordering::Relaxed),
         }
-    }
-
-    pub(crate) fn reset(&self) {
-        self.jobs_executed.store(0, Ordering::Relaxed);
-        self.local_pops.store(0, Ordering::Relaxed);
-        self.injector_pops.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.cross_steals.store(0, Ordering::Relaxed);
-        self.failed_steals.store(0, Ordering::Relaxed);
-        self.parks.store(0, Ordering::Relaxed);
-        self.unparks.store(0, Ordering::Relaxed);
-        self.idle_ns.store(0, Ordering::Relaxed);
-        self.heartbeats.store(0, Ordering::Relaxed);
     }
 }
 
@@ -117,10 +97,6 @@ pub struct WorkerStats {
     pub injector_pops: u64,
     /// Successful steals from peers.
     pub steals: u64,
-    /// Steals whose victim was in a different placement group
-    /// (cross-socket traffic under NUMA grouping; zero on single-group
-    /// pools). Always `<= steals`.
-    pub cross_steals: u64,
     /// Empty victim probes while hunting for work.
     pub failed_steals: u64,
     /// Times the worker blocked on the sleep condvar.
@@ -145,7 +121,6 @@ impl WorkerStats {
         self.local_pops += other.local_pops;
         self.injector_pops += other.injector_pops;
         self.steals += other.steals;
-        self.cross_steals += other.cross_steals;
         self.failed_steals += other.failed_steals;
         self.parks += other.parks;
         self.unparks += other.unparks;
@@ -159,7 +134,6 @@ impl WorkerStats {
             local_pops: self.local_pops.saturating_sub(other.local_pops),
             injector_pops: self.injector_pops.saturating_sub(other.injector_pops),
             steals: self.steals.saturating_sub(other.steals),
-            cross_steals: self.cross_steals.saturating_sub(other.cross_steals),
             failed_steals: self.failed_steals.saturating_sub(other.failed_steals),
             parks: self.parks.saturating_sub(other.parks),
             unparks: self.unparks.saturating_sub(other.unparks),
@@ -377,18 +351,14 @@ impl TenantStats {
 pub struct PoolStats {
     /// Per-worker snapshots, indexed by worker id.
     pub workers: Vec<WorkerStats>,
-    /// Number of placement groups the pool's workers are partitioned
-    /// into (1 unless NUMA grouping is active; see
-    /// [`crate::Pool::new_grouped`] and `BDS_NUMA_GROUPS`).
-    pub num_groups: usize,
     /// Workers that crashed (unexpected unwind out of the main loop —
     /// e.g. via the crash-injection hook) and were respawned by the
-    /// registry. Cumulative over the pool's lifetime; not cleared by
-    /// [`crate::Pool::reset_stats`].
+    /// registry. Cumulative over the pool's lifetime.
     pub respawns: u64,
     /// `install` calls the pool declined to queue and degraded to
-    /// sequential in-caller execution instead (admission control /
-    /// saturation shedding). Cumulative over the pool's lifetime.
+    /// sequential in-caller execution instead, because its
+    /// [`crate::Pool::with_max_inflight`] cap was reached. Always 0 for
+    /// a pool without a cap. Cumulative over the pool's lifetime.
     pub sheds: u64,
     /// Block-recovery counters (retries, quarantines, recovered runs).
     /// Process-wide, like the governance trip counters: recovery state
@@ -438,7 +408,6 @@ impl PoolStats {
             .collect();
         PoolStats {
             workers,
-            num_groups: self.num_groups,
             respawns: self.respawns.saturating_sub(baseline.respawns),
             sheds: self.sheds.saturating_sub(baseline.sheds),
             recovery: self.recovery.saturating_sub(&baseline.recovery),

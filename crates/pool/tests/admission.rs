@@ -15,7 +15,7 @@
 //!   eventually wedging admission shut.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -264,6 +264,15 @@ fn spawned_jobs_left_at_drop_still_run() {
     assert_eq!(ran.load(Ordering::SeqCst), 1);
 }
 
+/// Spin until `flag` is set, for at most 10 s.
+fn wait_for(flag: &AtomicBool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !flag.load(Ordering::SeqCst) {
+        assert!(Instant::now() < deadline, "the other half never ran");
+        std::hint::spin_loop();
+    }
+}
+
 /// A worker waiting on a join latch helps by running other work, which
 /// includes jobs spawned into the injector. A spawned job is a root of
 /// its own: it must not run under the ambient token of the job it
@@ -272,16 +281,7 @@ fn spawned_jobs_left_at_drop_still_run() {
 /// context.
 #[test]
 fn spawned_jobs_never_inherit_a_helping_workers_token() {
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
-
-    fn wait_for(flag: &AtomicBool) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !flag.load(Ordering::SeqCst) {
-            assert!(Instant::now() < deadline, "the other half never ran");
-            std::hint::spin_loop();
-        }
-    }
 
     let pool = Pool::new(2);
     let token = bds_pool::CancelToken::new();
@@ -314,5 +314,44 @@ fn spawned_jobs_never_inherit_a_helping_workers_token() {
     assert!(
         !inherited.load(Ordering::SeqCst),
         "a spawned job ran under the token of the job it was nested in"
+    );
+}
+
+/// The same holds for an `install` from another thread: its job is
+/// injected, so a worker waiting on a join latch may run it nested
+/// inside another job, and it must not inherit that job's token.
+#[test]
+fn installed_roots_never_inherit_a_helping_workers_token() {
+    let pool = Pool::new(2);
+    let token = bds_pool::CancelToken::new();
+    let stolen = AtomicBool::new(false);
+    let ran = AtomicBool::new(false);
+    let inherited = std::thread::scope(|s| {
+        let nested = s.spawn(|| {
+            // Block 1 occupies one worker, so only the other one can run
+            // this: once block 0 returns, while it waits for block 1.
+            wait_for(&stolen);
+            let inherited = pool.install(|| bds_pool::cancel::current_token().is_some());
+            ran.store(true, Ordering::SeqCst);
+            inherited
+        });
+        pool.install(|| {
+            bds_pool::with_token(&token, || {
+                bds_pool::apply(2, |j| {
+                    if j == 0 {
+                        wait_for(&stolen);
+                    } else {
+                        stolen.store(true, Ordering::SeqCst);
+                        wait_for(&ran);
+                    }
+                })
+            })
+        });
+        nested.join().unwrap()
+    });
+    assert!(ran.load(Ordering::SeqCst));
+    assert!(
+        !inherited,
+        "an installed job ran under the token of the job it was nested in"
     );
 }

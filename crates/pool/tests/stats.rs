@@ -1,16 +1,31 @@
 //! Scheduler-statistics invariants: acquisition counts balance executed
-//! jobs, resets isolate regions of interest, and cancellation does not
-//! corrupt the accounting.
+//! jobs, snapshot deltas isolate regions of interest, and cancellation
+//! does not corrupt the accounting.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use bds_pool::{apply, apply_cancellable, Pool};
 
 /// Enough fine-grained jobs that every worker of a small pool must both
-/// execute work and probe peers.
+/// execute work and probe peers. Block 0 waits, for at most 10 s, until
+/// some block has run on another worker: the blocks are too cheap for a
+/// parked peer to wake before the installing worker has run them all,
+/// so without the wait whether anything is stolen depends on the host's
+/// speed.
 fn churn(pool: &Pool, n: usize) {
+    let threads = Mutex::new(HashSet::new());
     pool.install(|| {
-        apply(n, |_| {
+        apply(n, |i| {
+            threads.lock().unwrap().insert(std::thread::current().id());
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while threads.lock().unwrap().len() < 2 && Instant::now() < deadline {
+                    std::hint::spin_loop();
+                }
+            }
             std::hint::black_box((0..500u64).sum::<u64>());
         })
     });
@@ -50,41 +65,6 @@ fn per_worker_snapshots_cover_all_workers() {
     assert_eq!(stats.num_threads(), 3);
     let busy = stats.workers.iter().filter(|w| w.jobs_executed > 0).count();
     assert!(busy >= 2, "work should spread: {:?}", stats.workers);
-}
-
-#[test]
-fn reset_isolates_install_regions() {
-    let pool = Pool::new(2);
-    // The first region is many separate installs of one injected job
-    // each, so its job count does not depend on whether the second
-    // worker wakes up to steal (one `churn` could run almost entirely
-    // on one worker), and it is larger than anything the second
-    // region's 100-index `apply` can split into.
-    const INSTALLS: u64 = 1000;
-    for _ in 0..INSTALLS {
-        pool.install(|| std::hint::black_box(0u64));
-    }
-    let first = pool.stats().total();
-    assert_eq!(first.jobs_executed, INSTALLS, "one job per install");
-
-    // Quiescent: install has returned, so all jobs are done. Reset and
-    // verify a clean slate...
-    pool.reset_stats();
-    let zeroed = pool.stats().total();
-    assert_eq!(zeroed.jobs_executed, 0, "reset must zero counters");
-    assert_eq!(zeroed.jobs_found(), 0);
-
-    // ...then a second install is attributed only to itself.
-    churn(&pool, 100);
-    let second = pool.stats().total();
-    assert!(second.jobs_executed > 0);
-    assert!(
-        second.jobs_executed < first.jobs_executed,
-        "second region ({} jobs) must not inherit the first ({} jobs)",
-        second.jobs_executed,
-        first.jobs_executed
-    );
-    assert_eq!(second.jobs_found(), second.jobs_executed);
 }
 
 #[test]

@@ -231,15 +231,30 @@ impl Inner {
     /// worker that finished the request: frees its slot and hands it to
     /// the next queued request, if any.
     fn note_finished(&self, elapsed: Duration) {
-        let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        // EWMA, alpha = 1/8. Racy read-modify-write is fine: this is a
-        // smoothed estimate, not an invariant.
-        let old = self.ewma_ns.load(Ordering::Relaxed);
-        let new = if old == 0 { ns } else { old - old / 8 + ns / 8 };
-        self.ewma_ns.store(new.max(1), Ordering::Relaxed);
+        self.note_service_time(elapsed);
         let mut st = self.state.lock();
         st.inflight -= 1;
         self.dispatch(st);
+    }
+
+    /// Fold one request's run time into the service-time EWMA, alpha =
+    /// 1/8. A sample counts for at most 4× the current estimate: a host
+    /// stall inflates every request that runs across it, and
+    /// [`Inner::estimated_start_delay`] multiplies the estimate by the
+    /// backlog that builds up meanwhile, so one unbounded stall refuses
+    /// feasible requests for seconds. A real slowdown still shows, at up
+    /// to 1.375× per sample. Racy read-modify-write is fine: this is a
+    /// smoothed estimate, not an invariant.
+    fn note_service_time(&self, elapsed: Duration) {
+        let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+        let old = self.ewma_ns.load(Ordering::Relaxed);
+        let new = if old == 0 {
+            ns
+        } else {
+            let ns = ns.min(old.saturating_mul(4));
+            old - old / 8 + ns / 8
+        };
+        self.ewma_ns.store(new.max(1), Ordering::Relaxed);
     }
 
     /// Start the request [`pick`] chooses if a dispatch slot is free,
@@ -1077,6 +1092,27 @@ mod tests {
         gate.store(1, Ordering::SeqCst);
         assert_eq!(wedge.wait(), Ok(()));
         assert_eq!(late.err(), Some(Rejected::Deadline));
+    }
+
+    #[test]
+    fn a_host_stall_does_not_inflate_the_deadline_estimate() {
+        // A host stall makes every request that runs across it look
+        // slow. Calibrated at 40 µs, four 200 ms completions must not
+        // push a 1024-deep backlog on 2 workers past a 1 s deadline;
+        // taken unbounded they estimate about 42 s.
+        let svc = small(2);
+        svc.inner.ewma_ns.store(40_000, Ordering::Relaxed);
+        for _ in 0..4 {
+            svc.inner.note_service_time(Duration::from_millis(200));
+        }
+        let backlog = DispatchState {
+            tenants: Vec::new(),
+            cursor: 0,
+            queued: 1024,
+            inflight: 0,
+        };
+        let est = svc.inner.estimated_start_delay(&backlog);
+        assert!(est < Duration::from_secs(1), "estimated {est:?}");
     }
 
     #[test]
