@@ -10,11 +10,17 @@
 //! cost and passes the block size it solved down through [`Seq::block`].
 //! Adaptors that keep their input's positions forward its
 //! [`Seq::fixed_block_size`]; a zip forwards either side's.
+//!
+//! Each also folds a chunk of its block ([`Seq::fold_chunk`]) through
+//! its input's fold: a map composes its function into it, a zip
+//! buffers its right side's chunk and then pushes its left side.
 
 use bds_cost::{ElemCost, SIMPLE};
 
-use crate::stream::block_bounds;
+use crate::simd::CHUNK;
+use crate::stream::{self, block_bounds};
 use crate::traits::{RadBlock, RadSeq, Seq};
+use crate::util::{chunk_space, ChunkBuf};
 
 // ---------------------------------------------------------------------
 // Map
@@ -87,6 +93,16 @@ where
             f: &self.f,
         }
     }
+
+    #[inline]
+    fn fold_chunk<'s, A, G>(block: &mut Self::Block<'s>, n: usize, init: A, mut g: G) -> A
+    where
+        Self: 's,
+        G: FnMut(A, U) -> A,
+    {
+        let f = block.f;
+        S::fold_chunk(&mut block.inner, n, init, |acc, x| g(acc, f(x)))
+    }
 }
 
 impl<S, F, U> RadSeq for Map<S, F>
@@ -124,6 +140,63 @@ fn zip_fixed(a: Option<usize>, b: Option<usize>) -> Option<usize> {
     a.or(b)
 }
 
+/// Fold the next `n` pairs of two aligned block streams through `f`.
+///
+/// The right side folds its chunk into a stack buffer with its own
+/// loop, then the left side folds its chunk and takes the buffered
+/// items in order: each side runs as one loop (a pull over a nested
+/// stream, such as a `flatten` region, would re-enter it per element),
+/// and within a chunk the right side is computed before the left. A
+/// right side whose chunk would not fit the buffer's byte bound is
+/// pulled pairwise instead, as `next()` does.
+#[inline]
+fn zip_fold<'s, A, B, Acc>(
+    a: &mut A::Block<'s>,
+    b: &mut B::Block<'s>,
+    n: usize,
+    init: Acc,
+    f: impl FnMut(Acc, A::Item, B::Item) -> Acc,
+) -> Acc
+where
+    A: Seq + 's,
+    B: Seq + 's,
+{
+    if ChunkBuf::<B::Item>::FITS {
+        zip_fold_buffered::<A, B, Acc>(a, b, n, init, f)
+    } else {
+        let mut f = f;
+        stream::pull_chunk(a, n, init, |acc, x| {
+            let y = b.next().expect("Seq invariant violated: block underflow");
+            f(acc, x, y)
+        })
+    }
+}
+
+/// The buffered arm of [`zip_fold`]; its own function so that the buffer
+/// takes stack space only where it is used.
+#[inline]
+fn zip_fold_buffered<'s, A, B, Acc>(
+    a: &mut A::Block<'s>,
+    b: &mut B::Block<'s>,
+    n: usize,
+    init: Acc,
+    mut f: impl FnMut(Acc, A::Item, B::Item) -> Acc,
+) -> Acc
+where
+    A: Seq + 's,
+    B: Seq + 's,
+{
+    assert!(n <= CHUNK, "fold_chunk folds at most CHUNK elements");
+    let mut space = chunk_space();
+    let mut buf = ChunkBuf::new(&mut space);
+    B::fold_chunk(b, n, (), |(), y| buf.push(y));
+    assert!(
+        buf.len() == n,
+        "Seq invariant violated: zip sides yielded different counts"
+    );
+    A::fold_chunk(a, n, init, |acc, x| f(acc, x, buf.pop()))
+}
+
 /// Delayed zip (Figure 10 lines 22-27). Both sides must have the same
 /// length, and every consumer cuts both at one block size, so the block
 /// streams fuse pairwise.
@@ -140,6 +213,27 @@ impl<A: Seq, B: Seq> Zip<A, B> {
     }
 }
 
+/// Block stream of [`Zip`]: both sides' blocks, pairwise.
+pub struct ZipBlock<IA, IB> {
+    a: IA,
+    b: IB,
+}
+
+impl<IA: Iterator, IB: Iterator> Iterator for ZipBlock<IA, IB> {
+    type Item = (IA::Item, IB::Item);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let x = self.a.next()?;
+        let y = self.b.next()?;
+        Some((x, y))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.a.size_hint()
+    }
+}
+
 impl<A, B> Seq for Zip<A, B>
 where
     A: Seq,
@@ -147,7 +241,7 @@ where
 {
     type Item = (A::Item, B::Item);
     type Block<'s>
-        = std::iter::Zip<A::Block<'s>, B::Block<'s>>
+        = ZipBlock<A::Block<'s>, B::Block<'s>>
     where
         Self: 's;
 
@@ -164,7 +258,21 @@ where
     }
 
     fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
-        self.a.block(j, bs).zip(self.b.block(j, bs))
+        ZipBlock {
+            a: self.a.block(j, bs),
+            b: self.b.block(j, bs),
+        }
+    }
+
+    #[inline]
+    fn fold_chunk<'s, Acc, G>(block: &mut Self::Block<'s>, n: usize, init: Acc, mut g: G) -> Acc
+    where
+        Self: 's,
+        G: FnMut(Acc, Self::Item) -> Acc,
+    {
+        zip_fold::<A, B, Acc>(&mut block.a, &mut block.b, n, init, |acc, x, y| {
+            g(acc, (x, y))
+        })
     }
 }
 
@@ -254,6 +362,18 @@ where
             f: &self.f,
         }
     }
+
+    #[inline]
+    fn fold_chunk<'s, Acc, G>(block: &mut Self::Block<'s>, n: usize, init: Acc, mut g: G) -> Acc
+    where
+        Self: 's,
+        G: FnMut(Acc, U) -> Acc,
+    {
+        let f = block.f;
+        zip_fold::<A, B, Acc>(&mut block.a, &mut block.b, n, init, |acc, x, y| {
+            g(acc, f(x, y))
+        })
+    }
 }
 
 impl<A, B, F, U> RadSeq for ZipWith<A, B, F>
@@ -332,6 +452,20 @@ impl<S: Seq> Seq for Enumerate<S> {
             next_index: j * bs,
         }
     }
+
+    #[inline]
+    fn fold_chunk<'s, A, G>(block: &mut Self::Block<'s>, n: usize, init: A, mut g: G) -> A
+    where
+        Self: 's,
+        G: FnMut(A, Self::Item) -> A,
+    {
+        let i0 = block.next_index;
+        block.next_index += n;
+        let (acc, _) = S::fold_chunk(&mut block.inner, n, (init, i0), |(acc, i), x| {
+            (g(acc, (i, x)), i + 1)
+        });
+        acc
+    }
 }
 
 impl<S: RadSeq> RadSeq for Enumerate<S> {
@@ -377,6 +511,14 @@ impl<S: RadSeq> Seq for TakeSeq<S> {
     fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
         let (lo, hi) = block_bounds(self.len, bs, j);
         RadBlock::new(self, lo, hi)
+    }
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, S::Item) -> A,
+    {
+        block.fold_chunk(n, init, f)
     }
 }
 
@@ -424,6 +566,14 @@ impl<S: RadSeq> Seq for SkipSeq<S> {
         let (lo, hi) = block_bounds(self.len, bs, j);
         RadBlock::new(self, lo, hi)
     }
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, S::Item) -> A,
+    {
+        block.fold_chunk(n, init, f)
+    }
 }
 
 impl<S: RadSeq> RadSeq for SkipSeq<S> {
@@ -463,6 +613,14 @@ impl<S: RadSeq> Seq for RevSeq<S> {
     fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
         let (lo, hi) = block_bounds(self.input.len(), bs, j);
         RadBlock::new(self, lo, hi)
+    }
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, S::Item) -> A,
+    {
+        block.fold_chunk(n, init, f)
     }
 }
 
@@ -654,6 +812,21 @@ where
             f: &self.f,
             next_index: j * bs,
         }
+    }
+
+    #[inline]
+    fn fold_chunk<'s, A, G>(block: &mut Self::Block<'s>, n: usize, init: A, mut g: G) -> A
+    where
+        Self: 's,
+        G: FnMut(A, U) -> A,
+    {
+        let f = block.f;
+        let i0 = block.next_index;
+        block.next_index += n;
+        let (acc, _) = S::fold_chunk(&mut block.inner, n, (init, i0), |(acc, i), x| {
+            (g(acc, f(i, x)), i + 1)
+        });
+        acc
     }
 }
 

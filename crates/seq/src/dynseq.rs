@@ -351,11 +351,7 @@ impl<T: Send + Sync + Clone + 'static> DSeq<T> {
                 bs: *bs,
                 b,
             },
-            &|x, out: &mut Vec<T>| {
-                if pred(&x) {
-                    out.push(x);
-                }
-            },
+            &|x| pred(&x).then_some(x),
         );
         DSeq::flatten_parts(parts)
     }
@@ -414,11 +410,7 @@ impl<T: Send + Sync + Clone + 'static> DSeq<T> {
                 bs: *bs,
                 b,
             },
-            &|x, out: &mut Vec<U>| {
-                if let Some(y) = g(x) {
-                    out.push(y);
-                }
-            },
+            &g,
         );
         DSeq::flatten_parts(parts)
     }

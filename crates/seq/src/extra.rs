@@ -53,6 +53,14 @@ where
         let (lo, hi) = stream::block_bounds(Seq::len(self), bs, j);
         RadBlock::new(self, lo, hi)
     }
+    #[inline]
+    fn fold_chunk<'s, Acc, F>(block: &mut Self::Block<'s>, n: usize, init: Acc, f: F) -> Acc
+    where
+        Self: 's,
+        F: FnMut(Acc, A::Item) -> Acc,
+    {
+        block.fold_chunk(n, init, f)
+    }
 }
 
 impl<A, B> RadSeq for Append<A, B>

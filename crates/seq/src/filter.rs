@@ -26,41 +26,24 @@ where
     S::Item: Clone + Sync,
     P: Fn(&S::Item) -> bool + Send + Sync,
 {
-    pack_blocks(input, &|x, out: &mut Vec<S::Item>| {
-        if pred(&x) {
-            out.push(x);
-        }
-    })
+    filter_op(input, &|x| pred(&x).then_some(x))
 }
 
-/// Map through `f`, keeping `Some` results; see [`Seq::filter_op`].
-pub(crate) fn filter_op<S, U, F>(input: &S, f: &F) -> Filtered<U>
-where
-    S: Seq + ?Sized,
-    U: Clone + Send + Sync,
-    F: Fn(S::Item) -> Option<U> + Send + Sync,
-{
-    pack_blocks(input, &|x, out: &mut Vec<U>| {
-        if let Some(y) = f(x) {
-            out.push(y);
-        }
-    })
-}
-
-/// Shared packing machinery: one instantiation of the indexed-stream
-/// core's [`stream::filter_parts`] drive loop (which owns the geometry,
-/// profiling, and per-block survivor charging), flattened.
+/// Map through `f`, keeping `Some` results; see [`Seq::filter_op`]. One
+/// instantiation of the indexed-stream core's [`stream::filter_parts`]
+/// drive loop (which owns the geometry, profiling, and per-block
+/// survivor charging), flattened.
 ///
 /// `packToArray` in the paper uses a dynamically resized array so that
 /// only as much memory as needed is allocated; the core's per-block
 /// `Vec` is exactly that.
-fn pack_blocks<S, U, K>(input: &S, keep: &K) -> Filtered<U>
+pub(crate) fn filter_op<S, U, F>(input: &S, f: &F) -> Filtered<U>
 where
     S: Seq + ?Sized,
     U: Clone + Send + Sync,
-    K: Fn(S::Item, &mut Vec<U>) + Sync,
+    F: Fn(S::Item) -> Option<U> + Sync,
 {
-    let parts = stream::filter_parts(&stream::of_seq(input), keep);
+    let parts = stream::filter_parts(&stream::of_seq(input), f);
     Flattened::from_inners(parts.into_iter().map(Forced::from_vec).collect())
 }
 

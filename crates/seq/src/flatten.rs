@@ -99,7 +99,7 @@ where
                 for k in 0..inner.len() {
                     acc = combine(acc, inner.get(k));
                 }
-                pv.writer(p).push(acc);
+                pv.writer(p, p + 1).push(acc);
             });
         })
     }
@@ -107,9 +107,11 @@ where
 
 /// Block stream of [`Flattened`]: the paper's `getRegion` walk. Starts at
 /// a binary-searched (inner, within) position and streams `remaining`
-/// elements across adjacent inner sequences, skipping empties.
+/// elements across adjacent inner sequences, skipping empties. A drive
+/// loop's chunk fold ([`Seq::fold_chunk`]) walks it as nested loops: a
+/// counted loop over each whole inner range the chunk covers.
 ///
-/// The drive loop that pulls the walk polls once per chunk of
+/// The drive loop that consumes the walk polls once per chunk of
 /// *elements*, but stepping to the next inner yields no element: a
 /// region over many empty inners could otherwise run unpolled for as
 /// long as it likes. So the walk ticks its own
@@ -150,6 +152,43 @@ impl<'s, Inner: RadSeq> Iterator for RegionIter<'s, Inner> {
     }
 }
 
+impl<Inner: RadSeq> RegionIter<'_, Inner> {
+    /// Fold the next `n` elements: the same walk as `next()`, with the
+    /// elements of each inner taken by one counted loop over the range
+    /// the chunk covers. Steps to the next inner, which `next()` takes
+    /// when it finds the current one used up, happen (and tick) at the
+    /// same points.
+    #[inline]
+    fn fold_chunk<A>(&mut self, n: usize, init: A, mut f: impl FnMut(A, Inner::Item) -> A) -> A {
+        assert!(
+            n <= self.remaining,
+            "Seq invariant violated: block underflow"
+        );
+        self.remaining -= n;
+        let mut left = n;
+        let mut acc = init;
+        while left > 0 {
+            let Some(inner) = self.inners.get(self.part) else {
+                panic!("Seq invariant violated: block underflow");
+            };
+            let len = inner.len();
+            if self.within < len {
+                let take = (len - self.within).min(left);
+                for k in self.within..self.within + take {
+                    acc = f(acc, inner.get(k));
+                }
+                self.within += take;
+                left -= take;
+            } else {
+                self.part += 1;
+                self.within = 0;
+                self.ticker.tick();
+            }
+        }
+        acc
+    }
+}
+
 impl<Inner: RadSeq> Seq for Flattened<Inner> {
     type Item = Inner::Item;
     type Block<'s>
@@ -185,6 +224,14 @@ impl<Inner: RadSeq> Seq for Flattened<Inner> {
             remaining: hi - lo,
             ticker: bds_pool::PollTicker::new(),
         }
+    }
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, Inner::Item) -> A,
+    {
+        block.fold_chunk(n, init, f)
     }
 }
 

@@ -9,7 +9,7 @@
 //! allocations against the memory budget (see `PartialVec` in this
 //! crate). Cancellation is cooperative — the drive loops in
 //! [`crate::stream`] poll once per [`bds_pool::PollTicker::INTERVAL`]
-//! elements of the block they pull — so a governed run stops within one
+//! elements of the block they consume — so a governed run stops within one
 //! poll chunk per worker, unwinds, drops everything it materialized, and
 //! returns `Err`.
 //!

@@ -180,6 +180,23 @@ where
             f: &self.f,
         }
     }
+    /// Phase 3 over a chunk: the running prefix rides in the fold's
+    /// accumulator, through the input's own chunk fold.
+    #[inline]
+    fn fold_chunk<'s, A, G>(block: &mut Self::Block<'s>, n: usize, init: A, mut g: G) -> A
+    where
+        Self: 's,
+        G: FnMut(A, S::Item) -> A,
+    {
+        let f = block.f;
+        let seed = block.acc.clone();
+        let (prefix, acc) = S::fold_chunk(&mut block.inner, n, (seed, init), |(p, acc), x| {
+            let next = f(p.clone(), x);
+            (next, g(acc, p))
+        });
+        block.acc = prefix;
+        acc
+    }
 }
 
 impl<S, F> Seq for ScannedIncl<S, F>
@@ -216,6 +233,22 @@ where
             acc: self.seeds[j].clone(),
             f: &self.f,
         }
+    }
+    /// Phase 3 over a chunk, as for [`Scanned`].
+    #[inline]
+    fn fold_chunk<'s, A, G>(block: &mut Self::Block<'s>, n: usize, init: A, mut g: G) -> A
+    where
+        Self: 's,
+        G: FnMut(A, S::Item) -> A,
+    {
+        let f = block.f;
+        let seed = block.acc.clone();
+        let (prefix, acc) = S::fold_chunk(&mut block.inner, n, (seed, init), |(p, acc), x| {
+            let next = f(p, x);
+            (next.clone(), g(acc, next))
+        });
+        block.acc = prefix;
+        acc
     }
 }
 

@@ -45,7 +45,7 @@
 //! * **Cancellation** — every block walks its range in chunks of at
 //!   most [`CHUNK`] (= [`bds_pool::PollTicker::INTERVAL`]) elements and
 //!   ticks once per chunk, the same poll-latency bound as the stream
-//!   core's counted pull.
+//!   core's chunk loop.
 //! * **Memory budgets** — outputs are allocated once, through the
 //!   `PartialVec` protocol (`crate::util`) that charges any ambient
 //!   budget, exactly as `to_vec` charges.
@@ -404,7 +404,7 @@ fn lane_aligned<T>(stage: Stage, n: usize) -> Geometry {
 }
 
 /// Walk `lo..hi` a [`CHUNK`] at a time, ticking the cancellation
-/// ticker once per chunk, as the core's counted pull does.
+/// ticker once per chunk, as the core's chunk loop does.
 #[inline]
 fn for_chunks(lo: usize, hi: usize, mut f: impl FnMut(usize, usize)) {
     let mut ticker = PollTicker::new();

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use crate::counters;
-use crate::stream::block_bounds;
+use crate::stream::{block_bounds, chunk_range};
 use crate::traits::{RadBlock, RadSeq, Seq};
 
 /// Fully delayed sequence defined by an index function (Figure 10 line
@@ -26,8 +26,8 @@ where
 }
 
 /// Block stream of a [`Tabulate`]: applies the index function across a
-/// contiguous index range. It polls nothing: the drive loop that pulls
-/// it polls the ambient cancellation token once per chunk
+/// contiguous index range. It polls nothing: the drive loop that
+/// consumes it polls the ambient cancellation token once per chunk
 /// ([`crate::stream`]).
 pub struct TabulateBlock<'s, F> {
     f: &'s F,
@@ -80,6 +80,19 @@ where
             end: hi,
         }
     }
+
+    #[inline]
+    fn fold_chunk<'s, A, G>(block: &mut Self::Block<'s>, n: usize, init: A, mut g: G) -> A
+    where
+        Self: 's,
+        G: FnMut(A, T) -> A,
+    {
+        let mut acc = init;
+        for i in chunk_range(&mut block.next, block.end, n) {
+            acc = g(acc, (block.f)(i));
+        }
+        acc
+    }
 }
 
 impl<T, F> RadSeq for Tabulate<F>
@@ -116,9 +129,27 @@ fn slice_block<T>(data: &[T], j: usize, bs: usize) -> SliceBlock<'_, T> {
 
 /// Block stream of a slice-backed sequence; counts element reads when the
 /// `counters` feature is on. Like every leaf stream it polls nothing;
-/// the drive loop that pulls it does.
+/// the drive loop that consumes it does.
 pub struct SliceBlock<'s, T> {
     inner: std::slice::Iter<'s, T>,
+}
+
+impl<'s, T: Clone> SliceBlock<'s, T> {
+    /// [`Seq::fold_chunk`] over the slice: one underflow check, then a
+    /// slice loop.
+    #[inline]
+    fn fold_chunk<A>(&mut self, n: usize, init: A, mut f: impl FnMut(A, T) -> A) -> A {
+        let rest = self.inner.as_slice();
+        assert!(n <= rest.len(), "Seq invariant violated: block underflow");
+        let (chunk, rest) = rest.split_at(n);
+        self.inner = rest.iter();
+        counters::count_reads(n);
+        let mut acc = init;
+        for x in chunk {
+            acc = f(acc, x.clone());
+        }
+        acc
+    }
 }
 
 impl<'s, T: Clone> Iterator for SliceBlock<'s, T> {
@@ -149,6 +180,15 @@ impl<'a, T: Clone + Send + Sync> Seq for FromSlice<'a, T> {
 
     fn block(&self, j: usize, bs: usize) -> SliceBlock<'_, T> {
         slice_block(self.data, j, bs)
+    }
+
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, T) -> A,
+    {
+        block.fold_chunk(n, init, f)
     }
 }
 
@@ -205,6 +245,15 @@ impl<T: Clone + Send + Sync> Seq for Forced<T> {
     fn block(&self, j: usize, bs: usize) -> SliceBlock<'_, T> {
         slice_block(&self.data, j, bs)
     }
+
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, T) -> A,
+    {
+        block.fold_chunk(n, init, f)
+    }
 }
 
 impl<T: Clone + Send + Sync> RadSeq for Forced<T> {
@@ -253,6 +302,15 @@ impl<S: Seq + ?Sized> Seq for &S {
 
     fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
         (**self).block(j, bs)
+    }
+
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, S::Item) -> A,
+    {
+        S::fold_chunk(block, n, init, f)
     }
 }
 

@@ -43,11 +43,17 @@
 //!    `crate::util::charge_elems`.
 //! 5. **The block loop** — [`bds_pool::apply`] (or
 //!    [`bds_pool::apply_cancellable`] for the fallible drivers) streams
-//!    each block exactly once into its output slot. The loop pulls
-//!    exactly the block's length, a chunk at a time, polling for
-//!    cancellation once per chunk (below); a block that runs dry early
-//!    or yields past its end panics, which is what makes the disjoint
-//!    parallel writes safe.
+//!    each block exactly once into its output slot. The loop consumes
+//!    exactly the block's length, a chunk of at most [`simd::CHUNK`]
+//!    elements at a time, polling for cancellation once per chunk
+//!    (below). The infallible loops hand each chunk to the stream's
+//!    [`IndexedStream::fold_chunk`], which runs it as one loop (below);
+//!    the fallible loops and [`any`], which may stop after any element,
+//!    pull it through `next()`. A block that runs dry early or yields
+//!    past its end panics, and every block writes through a writer
+//!    bounded by its own region, whose push past the region's end
+//!    panics: that is what makes the disjoint parallel writes safe even
+//!    when a stream miscounts.
 //!    Every block body runs under [`bds_pool::recover_block`]
 //!    ([`bds_pool::recover_effect_block`] for the side-effecting
 //!    `for_each` loops): when an enclosing
@@ -61,20 +67,52 @@
 //!
 //! The drive loops are the one place that polls the ambient
 //! [`bds_pool::CancelToken`] inside a block. The geometry gives every
-//! block's exact length, so a loop pulls block `j` `min(left, CHUNK)`
-//! elements at a time with a counted loop and calls
+//! block's exact length, so a loop consumes block `j` `min(left,
+//! CHUNK)` elements at a time and calls
 //! [`bds_pool::PollTicker::tick_n`] once per chunk: cancellation lands
 //! within one [`simd::CHUNK`] of elements, however large the block. The
-//! leaf element iterators hold no ticker, so a k-way zip polls exactly
-//! as often as a single source, and [`bds_pool::ticker_polls`] counts
-//! one poll per `CHUNK` consumed elements per block in every
-//! instantiation (`tests/stream_parity.rs` compares the counts). The
-//! one move a block stream can make without yielding an element is a
-//! `flatten` region stepping to its next inner sequence, so the region
-//! walks ([`crate::flatten::RegionIter`] and the dynamic lowering's
-//! copy) tick their own ticker on each such step. A caller that
-//! iterates [`Seq::block`] itself, outside these loops, gets no
-//! polling.
+//! leaf streams hold no ticker, so a k-way zip polls exactly as often
+//! as a single source, and [`bds_pool::ticker_polls`] counts one poll
+//! per `CHUNK` consumed elements per block in every instantiation
+//! (`tests/stream_parity.rs` compares the counts). The one move a block
+//! stream can make without yielding an element is a `flatten` region
+//! stepping to its next inner sequence, so the region walks
+//! ([`crate::flatten::RegionIter`] and the dynamic lowering's copy)
+//! tick their own ticker on each such step, whether a chunk fold or
+//! `next()` takes it. A caller that iterates [`Seq::block`] itself,
+//! outside these loops, gets no polling.
+//!
+//! # Chunk folds: push inside a block
+//!
+//! Pulling a block through `next()` suits a random-access stream, whose
+//! `next` is an index step, but not a nested one: a `flatten` region
+//! re-checks its position on every element, and a filter's packing
+//! reloads its state per survivor. So the infallible loops push each
+//! chunk through [`IndexedStream::fold_chunk`] (for a [`Seq`],
+//! [`Seq::fold_chunk`]), one call per chunk, which the library's
+//! streams override with loops of their own:
+//!
+//! - the leaves (tabulate, slices, [`crate::RadBlock`]) check once that
+//!   the block holds the chunk, then run a counted range or slice loop;
+//! - map, map-with-index and enumerate fold through their input's fold;
+//! - a scan's phase 3 carries its running prefix in the fold's
+//!   accumulator;
+//! - a region walk runs nested loops, one counted loop per inner range
+//!   the chunk covers;
+//! - a zip folds its right side's chunk into a stack buffer, then folds
+//!   its left side and takes the buffered items in order. Within a zip
+//!   chunk the right side is therefore computed before the left, each
+//!   element once. A right side whose chunk would not fit the buffer's
+//!   fixed byte bound is pulled pairwise instead.
+//!
+//! The pull remains where the fold cannot go: the default
+//! [`Seq::fold_chunk`] is the counted pull, so an external sequence, the
+//! erased [`crate::erased::BoxSeq`]/[`crate::erased::BoxRad`] and the
+//! dynamic lowering's boxed streams behave as before; and the fallible
+//! loops and [`any`] keep pulling, since a fold cannot stop after an
+//! arbitrary element on stable Rust. Filter packing collects each
+//! chunk's survivors in a stack buffer and appends them to the block's
+//! array in one move.
 //!
 //! # Chunked streams
 //!
@@ -97,7 +135,6 @@
 //! [`simd::CHUNK`] at a time, and the dispatched SIMD kernel is only
 //! what runs inside a chunk.
 
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use bds_cost::{ElemCost, SIMPLE};
@@ -109,7 +146,9 @@ use crate::profile::{self, Stage};
 use crate::simd;
 use crate::sources::Forced;
 use crate::traits::Seq;
-use crate::util::{build_vec, charge_elems, scan_sequential, BlockWriter, PartialVec};
+use crate::util::{
+    build_vec, charge_elems, chunk_space, scan_sequential, BlockWriter, ChunkBuf, PartialVec,
+};
 
 // ---------------------------------------------------------------------
 // The indexed-stream contract
@@ -122,9 +161,11 @@ use crate::util::{build_vec, charge_elems, scan_sequential, BlockWriter, Partial
 /// `bs` a drive loop solved (the fixed one, if any), block `j` yields
 /// exactly `min(bs, len - j*bs)` elements, in order, and the
 /// concatenation of all `ceil(len/bs)` blocks is the sequence. Block
-/// streams do not poll for cancellation: the drive loops pull each
+/// streams do not poll for cancellation: the drive loops consume each
 /// block a chunk at a time and poll once per chunk (see the module
-/// docs).
+/// docs). A stream opts in to folding a chunk in one loop of its own by
+/// overriding [`fold_chunk`](Self::fold_chunk); one that does not is
+/// pulled through `next()`.
 pub trait IndexedStream: Sync {
     /// Element type.
     type Item: Send;
@@ -150,6 +191,56 @@ pub trait IndexedStream: Sync {
 
     /// The element stream of block `j` at block size `bs`.
     fn stream_block(&self, j: usize, bs: usize) -> Self::Block<'_>;
+
+    /// Fold the next `n` elements of `block`, `n <= CHUNK`: the call the
+    /// infallible drive loops make once per chunk. The contract is
+    /// [`Seq::fold_chunk`]'s; the default is the counted pull, and
+    /// [`SeqStream`] forwards to the sequence's own. A stream opts in to
+    /// a tighter loop by overriding it.
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, Self::Item) -> A,
+    {
+        pull_chunk(block, n, init, f)
+    }
+}
+
+/// The counted pull of `n` elements of `it` into `f`: the default
+/// [`Seq::fold_chunk`] and [`IndexedStream::fold_chunk`].
+///
+/// # Panics
+/// With "Seq invariant violated: block underflow" when `it` runs dry
+/// first.
+#[inline]
+pub(crate) fn pull_chunk<I: Iterator, A>(
+    it: &mut I,
+    n: usize,
+    init: A,
+    mut f: impl FnMut(A, I::Item) -> A,
+) -> A {
+    let mut acc = init;
+    for _ in 0..n {
+        let x = it.next().expect("Seq invariant violated: block underflow");
+        acc = f(acc, x);
+    }
+    acc
+}
+
+/// The next `n` positions of a block whose unread positions are
+/// `*next..end`, moving `*next` past them: the one check a leaf's chunk
+/// fold makes before its counted loop.
+///
+/// # Panics
+/// With "Seq invariant violated: block underflow" when fewer than `n`
+/// positions are left.
+#[inline]
+pub(crate) fn chunk_range(next: &mut usize, end: usize, n: usize) -> std::ops::Range<usize> {
+    let lo = *next;
+    assert!(n <= end - lo, "Seq invariant violated: block underflow");
+    *next = lo + n;
+    lo..lo + n
 }
 
 /// Monomorphized (and erased) instantiation: any [`Seq`] is an indexed
@@ -184,6 +275,15 @@ impl<'a, S: Seq + ?Sized> IndexedStream for SeqStream<'a, S> {
 
     fn stream_block(&self, j: usize, bs: usize) -> Self::Block<'_> {
         self.0.block(j, bs)
+    }
+
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, Self::Item) -> A,
+    {
+        S::fold_chunk(block, n, init, f)
     }
 }
 
@@ -244,26 +344,31 @@ pub(crate) fn record(stage: Stage, g: Geometry) {
 }
 
 // ---------------------------------------------------------------------
-// The counted pull: where cancellation is polled
+// The chunk loop: where cancellation is polled
 // ---------------------------------------------------------------------
 
 /// Block `j`'s element stream as a drive loop consumes it.
 ///
-/// The geometry gives the block's exact length, so the loop pulls
-/// `min(left, CHUNK)` elements with a counted loop and calls
-/// [`PollTicker::tick_n`] once per chunk: one poll per
-/// [`simd::CHUNK`] elements whatever the shape of the stream (a k-way
-/// zip polls as often as a single source). The leaf iterators hold no
-/// ticker. Pulling exactly the block's length also checks the block
+/// The geometry gives the block's exact length, so the loop consumes
+/// `min(left, CHUNK)` elements at a time and calls
+/// [`PollTicker::tick_n`] once per chunk: one poll per [`simd::CHUNK`]
+/// elements whatever the shape of the stream (a k-way zip polls as
+/// often as a single source). The leaf streams hold no ticker.
+///
+/// The infallible folds hand each chunk to the stream's
+/// [`IndexedStream::fold_chunk`], which runs it as one loop; the
+/// fallible ones (`try_fold`, and [`any`], which stops at a hit) pull
+/// it through `next()`, a counted loop that can stop after any element.
+/// Both consume exactly the block's length, which checks the block
 /// invariant: a block that runs dry early panics (underflow), and one
 /// that still yields after its last element panics (overflow).
-struct Pull<I> {
-    it: I,
+struct Pull<'s, S: IndexedStream + ?Sized + 's> {
+    it: S::Block<'s>,
     left: usize,
     ticker: PollTicker,
 }
 
-fn pull<S: IndexedStream + ?Sized>(s: &S, g: Geometry, j: usize) -> Pull<S::Block<'_>> {
+fn pull<S: IndexedStream + ?Sized>(s: &S, g: Geometry, j: usize) -> Pull<'_, S> {
     let (lo, hi) = block_bounds(g.len, g.bs, j);
     Pull {
         it: s.stream_block(j, g.bs),
@@ -272,30 +377,88 @@ fn pull<S: IndexedStream + ?Sized>(s: &S, g: Geometry, j: usize) -> Pull<S::Bloc
     }
 }
 
-/// Does `it` still yield? The overflow check after a block's counted
-/// pull. Kept out of line so that the pull loop is the one call site of
-/// the block stream's `next` that the optimizer inlines into.
+/// Does `it` still yield? The overflow check after a block's last
+/// chunk. Kept out of line so that the chunk loop is the one call site
+/// of the block stream's `next` that the optimizer inlines into.
 #[cold]
 #[inline(never)]
 fn yields<I: Iterator>(it: &mut I) -> bool {
     it.next().is_some()
 }
 
-impl<I: Iterator> Pull<I> {
+impl<'s, S: IndexedStream + ?Sized + 's> Pull<'s, S> {
     #[inline]
-    fn next_elem(&mut self) -> I::Item {
+    fn next_elem(&mut self) -> S::Item {
         self.it
             .next()
             .expect("Seq invariant violated: block underflow")
     }
 
-    /// Fold the rest of the block, a chunk at a time, stopping at the
-    /// first `Err`.
+    #[inline]
+    fn check_drained(&mut self) {
+        assert!(
+            !yields(&mut self.it),
+            "Seq invariant violated: block overflow"
+        );
+    }
+
+    /// Run `body` on the rest of the block, once per chunk: `body(acc,
+    /// block, c)` must consume exactly the next `c` elements.
+    #[inline]
+    fn fold_chunks<A>(
+        mut self,
+        init: A,
+        mut body: impl FnMut(A, &mut S::Block<'s>, usize) -> A,
+    ) -> A {
+        let mut acc = init;
+        while self.left > 0 {
+            let c = self.left.min(simd::CHUNK);
+            acc = body(acc, &mut self.it, c);
+            self.left -= c;
+            self.ticker.tick_n(c);
+        }
+        self.check_drained();
+        acc
+    }
+
+    /// Fold the rest of the block, one [`IndexedStream::fold_chunk`]
+    /// per chunk.
+    #[inline]
+    fn fold<A>(self, init: A, mut f: impl FnMut(A, S::Item) -> A) -> A {
+        self.fold_chunks(init, |acc, it, c| S::fold_chunk(it, c, acc, &mut f))
+    }
+
+    /// Feed the rest of the block to `f`, a chunk at a time.
+    #[inline]
+    fn for_each(self, mut f: impl FnMut(S::Item)) {
+        self.fold((), |(), x| f(x));
+    }
+
+    /// Fold the block seeded by its first element (reduce, scan phase
+    /// 1, `max_by_key`). The seed counts as a chunk of one, so the block
+    /// still polls once per `CHUNK` elements.
+    #[inline]
+    fn fold_first(mut self, f: impl FnMut(S::Item, S::Item) -> S::Item) -> S::Item {
+        let first = self.take_first();
+        self.fold(first, f)
+    }
+
+    #[inline]
+    fn take_first(&mut self) -> S::Item {
+        assert!(self.left > 0, "Seq invariant violated: empty block");
+        let first = self.next_elem();
+        self.left -= 1;
+        self.ticker.tick_n(1);
+        first
+    }
+
+    /// Pull the rest of the block through `next()`, a chunk at a time,
+    /// stopping at the first `Err`.
     #[inline]
     fn try_fold<A, E>(
         mut self,
         mut acc: A,
-        mut f: impl FnMut(A, I::Item) -> Result<A, E>,
+        mut f: impl FnMut(A, S::Item) -> Result<A, E>,
     ) -> Result<A, E> {
         while self.left > 0 {
             let c = self.left.min(simd::CHUNK);
@@ -306,51 +469,18 @@ impl<I: Iterator> Pull<I> {
             self.left -= c;
             self.ticker.tick_n(c);
         }
-        assert!(
-            !yields(&mut self.it),
-            "Seq invariant violated: block overflow"
-        );
+        self.check_drained();
         Ok(acc)
     }
 
-    /// Fold the rest of the block, a chunk at a time.
-    #[inline]
-    fn fold<A>(self, init: A, mut f: impl FnMut(A, I::Item) -> A) -> A {
-        match self.try_fold(init, |a, x| Ok::<A, Infallible>(f(a, x))) {
-            Ok(a) => a,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Feed the rest of the block to `f`, a chunk at a time.
-    #[inline]
-    fn for_each(self, mut f: impl FnMut(I::Item)) {
-        self.fold((), |(), x| f(x));
-    }
-
-    /// Fold the block seeded by its first element (reduce, scan phase
-    /// 1, `max_by_key`), stopping at the first `Err`. The seed counts
-    /// as a chunk of one, so the block still polls once per `CHUNK`
-    /// elements.
+    /// [`fold_first`](Self::fold_first), stopping at the first `Err`.
     #[inline]
     fn try_fold_first<E>(
         mut self,
-        f: impl FnMut(I::Item, I::Item) -> Result<I::Item, E>,
-    ) -> Result<I::Item, E> {
-        assert!(self.left > 0, "Seq invariant violated: empty block");
-        let first = self.next_elem();
-        self.left -= 1;
-        self.ticker.tick_n(1);
+        f: impl FnMut(S::Item, S::Item) -> Result<S::Item, E>,
+    ) -> Result<S::Item, E> {
+        let first = self.take_first();
         self.try_fold(first, f)
-    }
-
-    /// [`try_fold_first`](Self::try_fold_first) for an infallible fold.
-    #[inline]
-    fn fold_first(self, mut f: impl FnMut(I::Item, I::Item) -> I::Item) -> I::Item {
-        match self.try_fold_first(|a, x| Ok::<I::Item, Infallible>(f(a, x))) {
-            Ok(a) => a,
-            Err(never) => match never {},
-        }
     }
 }
 
@@ -368,7 +498,7 @@ impl<I: Iterator> Pull<I> {
 fn visit_blocks<S, F>(s: &S, g: Geometry, f: F)
 where
     S: IndexedStream + ?Sized,
-    F: Fn(usize, Pull<S::Block<'_>>) + Send + Sync,
+    F: Fn(usize, Pull<'_, S>) + Send + Sync,
 {
     bds_pool::apply(g.nb, |j| {
         bds_pool::recover_effect_block(j, || f(j, pull(s, g, j)))
@@ -382,7 +512,7 @@ fn per_block<S, T, F>(s: &S, g: Geometry, f: F) -> Vec<T>
 where
     S: IndexedStream + ?Sized,
     T: Send,
-    F: Fn(Pull<S::Block<'_>>) -> T + Send + Sync,
+    F: Fn(Pull<'_, S>) -> T + Send + Sync,
 {
     blockwise(g, |j| f(pull(s, g, j)))
 }
@@ -400,7 +530,7 @@ where
             // succeeds, so a retried attempt (transient fault mid-block)
             // re-streams the block into the still-empty slot.
             bds_pool::recover_block(j, || {
-                pv.writer(j).push(body(j));
+                pv.writer(j, j + 1).push(body(j));
             });
         });
     })
@@ -414,14 +544,14 @@ where
     S: IndexedStream + ?Sized,
     T: Send,
     E: Send,
-    F: Fn(Pull<S::Block<'_>>) -> Result<T, E> + Send + Sync,
+    F: Fn(Pull<'_, S>) -> Result<T, E> + Send + Sync,
 {
     let pv = PartialVec::new(g.nb);
     bds_pool::apply_cancellable(g.nb, |j| {
         // Retry wraps only panic faults; an `Err` return is a result,
         // not a fault, and short-circuits the region unretried.
         bds_pool::recover_block(j, || {
-            pv.writer(j).push(f(pull(s, g, j))?);
+            pv.writer(j, j + 1).push(f(pull(s, g, j))?);
             Ok(())
         })
     })?;
@@ -429,11 +559,10 @@ where
 }
 
 /// Materialize: every block `fill`s its slot of one fresh
-/// (budget-charged) buffer through a writer at the slot's start. `fill`
-/// must not write past its block's end (the counted pull cannot; the
-/// chunked fill checks each chunk), and the underflow assert catches a
-/// block that wrote too little, so a broken block-length invariant is a
-/// panic instead of an unsound write.
+/// (budget-charged) buffer through a writer bounded by the slot. The
+/// writer panics on a push past the block's end, and the underflow
+/// assert catches a block that wrote too little, so a broken
+/// block-length invariant is a panic instead of an unsound write.
 pub(crate) fn materialize<T, F>(g: Geometry, fill: F) -> Vec<T>
 where
     T: Send,
@@ -460,16 +589,23 @@ where
             // re-streams the whole block into its untouched region.
             bds_pool::recover_block(j, || {
                 let (lo, hi) = range(j);
-                let mut w = pv.writer(lo);
+                let mut w = pv.writer(lo, hi);
                 fill(j, &mut w);
-                assert_eq!(
-                    w.count(),
-                    hi - lo,
-                    "Seq invariant violated: block underflow"
-                );
+                check_filled(&w, lo, hi);
             });
         });
     })
+}
+
+/// The underflow check after a block's writes: the block wrote its
+/// whole region.
+#[inline]
+fn check_filled<T: Send>(w: &BlockWriter<'_, T>, lo: usize, hi: usize) {
+    assert_eq!(
+        w.count(),
+        hi - lo,
+        "Seq invariant violated: block underflow"
+    );
 }
 
 /// Fallible materialization through a per-element map: the shape of
@@ -485,8 +621,8 @@ where
     bds_pool::apply_cancellable(g.nb, |j| {
         bds_pool::recover_block(j, || {
             // The counted pull writes exactly the block's length.
-            let (lo, _) = block_bounds(g.len, g.bs, j);
-            let mut w = pv.writer(lo);
+            let (lo, hi) = block_bounds(g.len, g.bs, j);
+            let mut w = pv.writer(lo, hi);
             pull(s, g, j).try_fold((), |(), x| {
                 w.push(f(x)?);
                 Ok(())
@@ -583,16 +719,20 @@ where
 }
 
 /// Blockwise survivor packing, the eager phase of `filter`/`filter_op`
-/// (Figure 10, lines 48-53): stream each block through `keep` (which
-/// appends 0 or 1 elements per input element) into a small dense array,
-/// charging each block's survivors against the ambient memory budget.
-/// The caller flattens the parts (the static lowering wraps each in a
-/// [`Forced`]; [`crate::dynseq::DSeq`] feeds them to `flatten_parts`).
+/// (Figure 10, lines 48-53): stream each block through `keep` (`Some`
+/// keeps an element) into a small dense array, charging each block's
+/// survivors against the ambient memory budget. The caller flattens the
+/// parts (the static lowering wraps each in a [`Forced`];
+/// [`crate::dynseq::DSeq`] feeds them to `flatten_parts`).
+///
+/// Each chunk's survivors collect in a stack buffer and join the block's
+/// array in one move, so the chunk loop keeps no `Vec` state; survivors
+/// too large for the buffer are pushed one at a time.
 pub fn filter_parts<S, U, K>(s: &S, keep: &K) -> Vec<Vec<U>>
 where
     S: IndexedStream + ?Sized,
     U: Send,
-    K: Fn(S::Item, &mut Vec<U>) + Sync,
+    K: Fn(S::Item) -> Option<U> + Sync,
 {
     // Packing streams every element once through the predicate and may
     // allocate a survivor.
@@ -603,7 +743,11 @@ where
     }
     per_block(s, g, |p| {
         let mut kept: Vec<U> = Vec::new();
-        p.for_each(|x| keep(x, &mut kept));
+        if ChunkBuf::<U>::FITS {
+            pack_buffered(p, keep, &mut kept);
+        } else {
+            p.for_each(|x| kept.extend(keep(x)));
+        }
         // Survivors are the filter's real allocation; charge them
         // against the ambient memory budget (abandons the region on
         // exhaustion — the survivor vec is dropped normally).
@@ -612,6 +756,26 @@ where
         counters::count_allocs(kept.len());
         kept
     })
+}
+
+/// [`filter_parts`]'s chunk loop through a [`ChunkBuf`]. Its own
+/// function so that the buffer takes stack space only where it is used.
+#[inline]
+fn pack_buffered<S, U, K>(p: Pull<'_, S>, keep: &K, kept: &mut Vec<U>)
+where
+    S: IndexedStream + ?Sized,
+    K: Fn(S::Item) -> Option<U>,
+{
+    let mut space = chunk_space();
+    let mut buf = ChunkBuf::new(&mut space);
+    p.fold_chunks((), |(), it, c| {
+        S::fold_chunk(it, c, (), |(), x| {
+            if let Some(y) = keep(x) {
+                buf.push(y);
+            }
+        });
+        buf.drain_into(kept);
+    });
 }
 
 /// Scan phases 1-2, shared by both scan flavors: per-block sums (fused
@@ -700,15 +864,16 @@ where
     let (pa, pb) = (PartialVec::new(g.len), PartialVec::new(g.len));
     bds_pool::apply(g.nb, |j| {
         // Retry-safe as in `materialize`: both writers discard their
-        // partial prefixes on unwind. The counted pull writes exactly
-        // the block's length.
+        // partial prefixes on unwind, and are bounded like its writer.
+        // They are pushed in step, so checking one checks both.
         bds_pool::recover_block(j, || {
-            let (lo, _) = block_bounds(g.len, g.bs, j);
-            let (mut wa, mut wb) = (pa.writer(lo), pb.writer(lo));
+            let (lo, hi) = block_bounds(g.len, g.bs, j);
+            let (mut wa, mut wb) = (pa.writer(lo, hi), pb.writer(lo, hi));
             pull(s, g, j).for_each(|(x, y)| {
                 wa.push(x);
                 wb.push(y);
             });
+            check_filled(&wa, lo, hi);
         });
     });
     (pa.finish(), pb.finish())
@@ -773,8 +938,8 @@ where
         // Retry-safe: the seed is re-read and the region re-written
         // from scratch, so a retried rescan is bit-identical.
         bds_pool::recover_block(j, || {
-            let (lo, _) = block_bounds(g.len, g.bs, j);
-            let mut w = out_pv.writer(lo);
+            let (lo, hi) = block_bounds(g.len, g.bs, j);
+            let mut w = out_pv.writer(lo, hi);
             pull(s, g, j).try_fold(seeds[j].clone(), |acc, x| {
                 w.push(acc.clone());
                 f(acc, x)
@@ -968,12 +1133,7 @@ where
     }
     if s.exact() {
         return materialize(g, |j, w| {
-            let (lo, hi) = block_bounds(g.len, g.bs, j);
             s.stream_chunks(g, j, |chunk| {
-                assert!(
-                    w.count() + chunk.len() <= hi - lo,
-                    "Seq invariant violated: block overflow"
-                );
                 for x in chunk.drain(..) {
                     w.push(x);
                 }
@@ -995,7 +1155,7 @@ where
     }
     let total = parts.iter().map(Vec::len).sum();
     build_vec(total, |pv| {
-        let mut w = pv.writer(0);
+        let mut w = pv.writer(0, total);
         for x in parts.into_iter().flatten() {
             w.push(x);
         }
@@ -1015,11 +1175,7 @@ mod tests {
         assert_eq!(v, (0..100).collect::<Vec<u64>>());
         assert_eq!(reduce(&of_seq(&s), 0, &|a, b| a + b), 4950);
         assert_eq!(count(&of_seq(&s), &|&x| x % 2 == 0), 50);
-        let parts = filter_parts(&of_seq(&s), &|x, out: &mut Vec<u64>| {
-            if x < 10 {
-                out.push(x);
-            }
-        });
+        let parts = filter_parts(&of_seq(&s), &|x| (x < 10).then_some(x));
         let survivors: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(survivors, 10);
     }

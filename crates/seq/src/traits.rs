@@ -70,12 +70,79 @@ pub trait Seq: Send + Sync {
     /// region-based sequences, an O(log) binary search).
     ///
     /// Block streams do not poll for cancellation: the consumers in
-    /// [`crate::stream`] pull each block a chunk at a time and poll the
-    /// ambient [`bds_pool::CancelToken`] once per chunk. A caller that
-    /// iterates a block itself, outside those drive loops, gets no
+    /// [`crate::stream`] consume each block a chunk at a time and poll
+    /// the ambient [`bds_pool::CancelToken`] once per chunk. A caller
+    /// that iterates a block itself, outside those drive loops, gets no
     /// polling (a `flatten` region still polls while it steps over
     /// inner sequences).
     fn block(&self, j: usize, bs: usize) -> Self::Block<'_>;
+
+    /// Fold the next `n` elements of `block` into `init` through `f`,
+    /// in order, where `n` is at most [`crate::simd::CHUNK`]. The
+    /// infallible consumers in [`crate::stream`] (reduce, `to_vec`,
+    /// count, `for_each`, filter packing, scan seeds, ...) consume a
+    /// block by one call per chunk; the fallible ones, and
+    /// [`Seq::any`], pull it through `next()`.
+    ///
+    /// The default is that counted pull: `n` calls to `next()`. A
+    /// sequence whose block can walk a chunk in a tighter loop
+    /// overrides it: a leaf with a counted range or slice loop, an
+    /// adaptor by forwarding to its input's fold, a `flatten` region
+    /// with nested loops over whole inner ranges, a zip by buffering
+    /// one side's chunk. An override must pass exactly `n` elements to
+    /// `f`, the same ones `next()` would have yielded, leave `block`
+    /// just past them, and panic with "Seq invariant violated: block
+    /// underflow" when fewer than `n` are left. Consumers that write
+    /// check the count, so a wrong one panics rather than corrupting a
+    /// neighbouring block.
+    ///
+    /// An external sequence whose blocks are [`RadBlock`]s opts in by
+    /// forwarding to [`RadBlock::fold_chunk`]:
+    ///
+    /// ```
+    /// use bds_seq::prelude::*;
+    /// use bds_seq::{stream::block_bounds, RadBlock};
+    ///
+    /// struct Squares(usize);
+    ///
+    /// impl Seq for Squares {
+    ///     type Item = u64;
+    ///     type Block<'s> = RadBlock<'s, Self>;
+    ///
+    ///     fn len(&self) -> usize {
+    ///         self.0
+    ///     }
+    ///
+    ///     fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+    ///         let (lo, hi) = block_bounds(self.0, bs, j);
+    ///         RadBlock::new(self, lo, hi)
+    ///     }
+    ///
+    ///     fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    ///     where
+    ///         Self: 's,
+    ///         F: FnMut(A, u64) -> A,
+    ///     {
+    ///         block.fold_chunk(n, init, f)
+    ///     }
+    /// }
+    ///
+    /// impl RadSeq for Squares {
+    ///     fn get(&self, i: usize) -> u64 {
+    ///         (i * i) as u64
+    ///     }
+    /// }
+    ///
+    /// assert_eq!(Squares(4).to_vec(), vec![0, 1, 4, 9]);
+    /// ```
+    #[inline]
+    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
+    where
+        Self: 's,
+        F: FnMut(A, Self::Item) -> A,
+    {
+        stream::pull_chunk(block, n, init, f)
+    }
 
     /// The block size an eager phase fixed for this sequence, or `None`
     /// when any size works (the default). Adaptors forward their
@@ -426,7 +493,7 @@ pub trait RadSeq: Seq {
 }
 
 /// Generic block stream over any [`RadSeq`]: yields `get(lo..hi)`.
-/// It polls nothing: the drive loop that pulls it polls the ambient
+/// It polls nothing: the drive loop that consumes it polls the ambient
 /// cancellation token once per chunk, so even a single huge block
 /// observes cancellation within one poll chunk.
 pub struct RadBlock<'s, S: RadSeq + ?Sized> {
@@ -444,6 +511,18 @@ impl<'s, S: RadSeq + ?Sized> RadBlock<'s, S> {
             next: lo,
             end: hi,
         }
+    }
+
+    /// Fold the next `n` elements: one underflow check, then a counted
+    /// loop of `get`s. What a [`Seq`] whose blocks are `RadBlock`s
+    /// forwards its [`Seq::fold_chunk`] to.
+    #[inline]
+    pub fn fold_chunk<A>(&mut self, n: usize, init: A, mut f: impl FnMut(A, S::Item) -> A) -> A {
+        let mut acc = init;
+        for i in stream::chunk_range(&mut self.next, self.end, n) {
+            acc = f(acc, self.seq.get(i));
+        }
+        acc
     }
 }
 

@@ -21,11 +21,20 @@
 //! completes (or is skipped) before the builder thread resumes, which
 //! orders both the element writes and the segment records before
 //! [`PartialVec::finish`] or `Drop` reads them.
+//!
+//! # Chunk buffers
+//!
+//! A zip's block fold and the filter's survivor packing hold up to one
+//! chunk of items in a [`ChunkBuf`] on the stack. The buffer owns the
+//! items it holds until they are taken out, so an unwind mid-chunk
+//! drops every buffered, unconsumed item exactly once.
 
+use std::mem::MaybeUninit;
 use std::sync::Mutex;
 
 use crate::counters;
 use crate::policy::{block_size, ceil_div};
+use crate::simd::CHUNK;
 
 /// A buffer of `n` slots being initialized region-by-region from
 /// parallel tasks, with drop-safety for the initialized parts.
@@ -79,16 +88,21 @@ impl<T: Send> PartialVec<T> {
         }
     }
 
-    /// Begin writing the contiguous region that starts at slot `start`.
+    /// Begin writing the block region `start..end`.
     ///
     /// The returned guard records however many elements were pushed
     /// when it drops normally (success or `Err` return). On unwind it
     /// discards the partial prefix instead, so a retried block starts
-    /// from an untouched region.
-    pub(crate) fn writer(&self, start: usize) -> BlockWriter<'_, T> {
+    /// from an untouched region. A push past `end` panics: a block
+    /// stream that yields more than its share must not write into a
+    /// neighbour's region, which that neighbour's writer would then
+    /// initialize (and this buffer drop) a second time.
+    pub(crate) fn writer(&self, start: usize, end: usize) -> BlockWriter<'_, T> {
+        assert!(start <= end && end <= self.n, "write region out of bounds");
         BlockWriter {
             pv: self,
             start,
+            cap: end - start,
             written: 0,
         }
     }
@@ -169,19 +183,30 @@ impl<T> Drop for PartialVec<T> {
 pub(crate) struct BlockWriter<'p, T: Send> {
     pv: &'p PartialVec<T>,
     start: usize,
+    /// Length of the region; `start + cap <= pv.n` (checked by
+    /// [`PartialVec::writer`]).
+    cap: usize,
     written: usize,
 }
 
 impl<T: Send> BlockWriter<'_, T> {
     /// Append `value` to this region (slot `start + count()`).
+    ///
+    /// # Panics
+    /// When the region is full: the block yielded past its end.
     #[inline]
     pub(crate) fn push(&mut self, value: T) {
-        let index = self.start + self.written;
-        assert!(index < self.pv.n, "write past end of buffer");
+        assert!(
+            self.written < self.cap,
+            "Seq invariant violated: block overflow"
+        );
         counters::count_writes(1);
-        // SAFETY: in bounds (asserted) and each slot written once by
-        // the disjoint-regions contract.
-        unsafe { self.pv.ptr.add(index).write(value) };
+        // SAFETY: `written < cap` (asserted) and `start + cap <= n`
+        // (checked when the writer was made), so the slot is in bounds;
+        // it lies in this writer's region, which no other writer covers
+        // (the disjoint-regions contract), and `written` only grows, so
+        // it is written once.
+        unsafe { self.pv.ptr.add(self.start + self.written).write(value) };
         self.written += 1;
     }
 
@@ -205,6 +230,9 @@ impl<T: Send> Drop for BlockWriter<'_, T> {
             // from scratch with no double-drop and no overlapping
             // segment records — block writes are idempotent by
             // construction.
+            // SAFETY: the first `written` slots of this region were
+            // initialized by `push` and are recorded nowhere else, so
+            // they are dropped here exactly once.
             unsafe {
                 std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
                     self.pv.ptr.add(self.start),
@@ -214,6 +242,122 @@ impl<T: Send> Drop for BlockWriter<'_, T> {
             return;
         }
         self.pv.record(self.start, self.written);
+    }
+}
+
+/// The most bytes a [`ChunkBuf`] may take on the stack. A stream whose
+/// items would need more for a whole chunk is not buffered.
+const CHUNK_BUF_BYTES: usize = 16 * 1024;
+
+/// Stack space for one chunk of `T`s, lent to a [`ChunkBuf`].
+pub(crate) type ChunkSpace<T> = [MaybeUninit<T>; CHUNK];
+
+/// Uninitialized [`ChunkSpace`].
+#[inline]
+pub(crate) fn chunk_space<T>() -> ChunkSpace<T> {
+    [const { MaybeUninit::uninit() }; CHUNK]
+}
+
+/// A queue of at most one chunk ([`CHUNK`] items) in borrowed stack
+/// space, filled and then emptied once per chunk.
+///
+/// The space is a separate local from the buffer's two counters, so
+/// that the optimizer keeps the counters in registers: a store into the
+/// space cannot be mistaken for a store to them.
+pub(crate) struct ChunkBuf<'b, T> {
+    slots: &'b mut ChunkSpace<T>,
+    /// Slots `head..tail` hold initialized items the buffer owns.
+    head: usize,
+    tail: usize,
+}
+
+impl<'b, T> ChunkBuf<'b, T> {
+    /// Whether a whole chunk of `T` fits in [`CHUNK_BUF_BYTES`].
+    pub(crate) const FITS: bool = std::mem::size_of::<T>() * CHUNK <= CHUNK_BUF_BYTES;
+
+    /// An empty buffer over `slots`.
+    #[inline]
+    pub(crate) fn new(slots: &'b mut ChunkSpace<T>) -> Self {
+        ChunkBuf {
+            slots,
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    /// Number of items held.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.tail - self.head
+    }
+
+    /// Append `x`.
+    ///
+    /// # Panics
+    /// When a chunk's worth of items was already pushed.
+    #[inline]
+    pub(crate) fn push(&mut self, x: T) {
+        assert!(self.tail < CHUNK, "Seq invariant violated: block overflow");
+        self.slots[self.tail].write(x);
+        self.tail += 1;
+    }
+
+    /// Take the oldest item.
+    ///
+    /// # Panics
+    /// When the buffer is empty.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> T {
+        assert!(
+            self.head < self.tail,
+            "Seq invariant violated: block underflow"
+        );
+        let i = self.head;
+        self.head += 1;
+        // SAFETY: slot `i` was in `head..tail`, so `push` initialized it
+        // and nothing has read it; `head` has moved past it, so neither
+        // another `pop` nor `Drop` reads it again.
+        unsafe { self.slots[i].assume_init_read() }
+    }
+
+    /// Move every held item, in order, to the end of `out`: one copy,
+    /// which made a tokens filter pass about 5% faster than pushing the
+    /// items one `pop` at a time.
+    #[inline]
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<T>) {
+        let n = self.len();
+        // May panic or abort before anything moved; the buffer still
+        // owns its items then.
+        out.reserve(n);
+        // SAFETY: slots `head..tail` are initialized, and `reserve` made
+        // room for `n` more items past `out.len()`; the regions cannot
+        // overlap (one is on the stack, the other in `out`'s heap
+        // buffer). Emptying the buffer right after hands ownership of
+        // the moved items to `out` alone.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                self.slots.as_ptr().add(self.head).cast::<T>(),
+                out.as_mut_ptr().add(out.len()),
+                n,
+            );
+            out.set_len(out.len() + n);
+        }
+        self.head = 0;
+        self.tail = 0;
+    }
+}
+
+impl<T> Drop for ChunkBuf<'_, T> {
+    fn drop(&mut self) {
+        // SAFETY: slots `head..tail` are initialized and owned by the
+        // buffer alone (taken items are outside that range), so each is
+        // dropped exactly once.
+        unsafe {
+            std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
+                self.slots.as_mut_ptr().add(self.head).cast::<T>(),
+                self.tail - self.head,
+            ));
+        }
     }
 }
 
@@ -258,7 +402,7 @@ where
             for x in &xs[lo + 1..hi] {
                 acc = f(&acc, x);
             }
-            pv.writer(j).push(acc);
+            pv.writer(j, j + 1).push(acc);
         });
     });
     // Phase 2: sequential scan over the (small) sums array.
@@ -271,7 +415,7 @@ where
             let hi = (lo + bs).min(n);
             counters::count_reads(hi - lo + 1);
             let mut acc = offsets[j].clone();
-            let mut w = pv.writer(lo);
+            let mut w = pv.writer(lo, hi);
             for x in &xs[lo..hi] {
                 w.push(acc.clone());
                 acc = f(&acc, x);
@@ -315,7 +459,7 @@ mod tests {
     #[test]
     fn build_vec_writes_all() {
         let v = build_vec(1000, |pv| {
-            bds_pool::apply(1000, |i| pv.writer(i).push(i * 3));
+            bds_pool::apply(1000, |i| pv.writer(i, i + 1).push(i * 3));
         });
         assert!(v.iter().enumerate().all(|(i, &x)| x == i * 3));
     }
@@ -330,7 +474,7 @@ mod tests {
     fn build_vec_multi_element_regions() {
         let v = build_vec(100, |pv| {
             bds_pool::apply(10, |j| {
-                let mut w = pv.writer(j * 10);
+                let mut w = pv.writer(j * 10, j * 10 + 10);
                 for k in 0..10 {
                     w.push(j * 10 + k);
                 }
@@ -343,7 +487,7 @@ mod tests {
     fn incomplete_fill_without_cancellation_panics() {
         let r = std::panic::catch_unwind(|| {
             build_vec(10, |pv| {
-                pv.writer(0).push(1u32); // 9 slots never written
+                pv.writer(0, 10).push(1u32); // 9 slots never written
             })
         });
         assert!(r.is_err());

@@ -232,3 +232,197 @@ fn try_filter_collect_err_path_drops_kept_elements() {
     assert_eq!(r.unwrap_err(), "boom at 555");
     assert_exact_drops("try_filter_collect/err");
 }
+
+/// A zip folds its right side's chunk into a stack buffer before its
+/// left side runs, so a panic on either side mid-chunk leaves buffered
+/// right-side items that no one consumed: the buffer drops each exactly
+/// once.
+#[test]
+fn zip_panic_drops_buffered_right_items_exactly_once() {
+    let _l = lock();
+    let _g = bds_seq::force_block_size(256);
+    // 617 lies mid-chunk in block 2 (256..512 + 105).
+    reset_counters();
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        tabulate(N, |i| {
+            if i == 617 {
+                panic!("left side boom at 617");
+            }
+            i as u64
+        })
+        .zip(tabulate(N, |i| Tok::new(i as u64)))
+        .to_vec()
+    }));
+    assert!(caught.is_err(), "panic must propagate");
+    assert_exact_drops("zip/left panic");
+
+    reset_counters();
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        tabulate(N, |i| Tok::new(i as u64))
+            .zip_with(
+                tabulate(N, |i| {
+                    if i == 617 {
+                        panic!("right side boom at 617");
+                    }
+                    Tok::new(i as u64)
+                }),
+                |a, b| Tok::new(a.0 + b.0),
+            )
+            .to_vec()
+    }));
+    assert!(caught.is_err(), "panic must propagate");
+    assert_exact_drops("zip_with/right panic");
+}
+
+/// Block stream of [`Skewed`]: `next()` is honest.
+struct SkewedBlock<'s, F> {
+    f: &'s F,
+    next: usize,
+    end: usize,
+    skew: isize,
+}
+
+impl<T, F: Fn(usize) -> T> Iterator for SkewedBlock<'_, F> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        (self.next < self.end).then(|| {
+            self.next += 1;
+            (self.f)(self.next - 1)
+        })
+    }
+}
+
+/// A sequence whose chunk fold lies about its count: with `skew` 1 it
+/// hands `f` one element more than asked, with `skew` -1 it consumes
+/// the chunk but hands `f` one element fewer.
+struct Skewed<F> {
+    len: usize,
+    f: F,
+    skew: isize,
+}
+
+impl<T: Send, F: Fn(usize) -> T + Send + Sync> Seq for Skewed<F> {
+    type Item = T;
+    type Block<'s>
+        = SkewedBlock<'s, F>
+    where
+        Self: 's;
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn block(&self, j: usize, bs: usize) -> Self::Block<'_> {
+        let (lo, hi) = bds_seq::stream::block_bounds(self.len, bs, j);
+        SkewedBlock {
+            f: &self.f,
+            next: lo,
+            end: hi,
+            skew: self.skew,
+        }
+    }
+
+    fn fold_chunk<'s, A, G>(block: &mut Self::Block<'s>, n: usize, init: A, mut g: G) -> A
+    where
+        Self: 's,
+        G: FnMut(A, T) -> A,
+    {
+        let lo = block.next;
+        block.next += n;
+        let handed = n.saturating_add_signed(block.skew);
+        (lo..lo + handed).fold(init, |acc, i| g(acc, (block.f)(i)))
+    }
+}
+
+/// An element that records its own drops by creation serial, so a slot
+/// written twice (one value leaked, another dropped twice) shows even
+/// where the live count would balance.
+struct Serial(usize);
+
+const SERIALS: usize = 4 * N;
+static NEXT_SERIAL: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+static SERIAL_DROPS: [std::sync::atomic::AtomicU8; SERIALS] =
+    [const { std::sync::atomic::AtomicU8::new(0) }; SERIALS];
+
+impl Serial {
+    fn new() -> Serial {
+        let id = NEXT_SERIAL.fetch_add(1, Ordering::SeqCst);
+        assert!(id < SERIALS, "scenario made too many elements");
+        Serial(id)
+    }
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        SERIAL_DROPS[self.0].fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+fn reset_serials() {
+    NEXT_SERIAL.store(0, Ordering::SeqCst);
+    for d in &SERIAL_DROPS {
+        d.store(0, Ordering::SeqCst);
+    }
+}
+
+fn assert_each_serial_dropped_once(label: &str) {
+    let made = NEXT_SERIAL.load(Ordering::SeqCst);
+    assert!(made > 0, "{label}: scenario constructed nothing");
+    for (id, d) in SERIAL_DROPS[..made].iter().enumerate() {
+        let drops = d.load(Ordering::SeqCst);
+        assert_eq!(drops, 1, "{label}: element {id} dropped {drops} times");
+    }
+}
+
+/// A chunk fold that hands the consumer a wrong number of elements is a
+/// broken `Seq`: writing consumers panic with the block-invariant
+/// message (a push past the block's end at once, instead of a write
+/// into the neighbouring block's region), and every element still
+/// drops exactly once.
+#[test]
+fn skewed_chunk_folds_panic_and_drop_each_element_once() {
+    let _l = lock();
+    let _g = bds_seq::force_block_size(64);
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    for (skew, want) in [(1, "block overflow"), (-1, "block underflow")] {
+        reset_serials();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            Skewed {
+                len: N,
+                f: |_| Serial::new(),
+                skew,
+            }
+            .to_vec()
+        }));
+        assert_block_invariant_panic(caught.map(drop), want, &format!("to_vec, skew {skew}"));
+        assert_each_serial_dropped_once(&format!("to_vec/skew {skew}"));
+
+        reset_serials();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let s = Skewed {
+                len: N,
+                f: |_| (Serial::new(), Serial::new()),
+                skew,
+            };
+            bds_seq::unzip(&s)
+        }));
+        assert_block_invariant_panic(caught.map(drop), want, &format!("unzip, skew {skew}"));
+        assert_each_serial_dropped_once(&format!("unzip/skew {skew}"));
+    }
+    std::panic::set_hook(prev);
+}
+
+fn assert_block_invariant_panic(caught: std::thread::Result<()>, want: &str, what: &str) {
+    let payload = caught.expect_err(what);
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        msg.contains(&format!("Seq invariant violated: {want}")),
+        "{what}: panicked with {msg:?}"
+    );
+}
