@@ -486,7 +486,6 @@ fn main() {
 
     let trips = trip_counts();
     let gov = GovCounters {
-        sheds: stats.sheds,
         respawns: stats.respawns,
         deadline_trips: trips.deadline.saturating_sub(trips_before.deadline),
         mem_trips: trips.memory.saturating_sub(trips_before.memory),

@@ -1,4 +1,4 @@
-//! Resource-governance soak: hammer a small pool with concurrent
+//! Resource-governance soak: hammer small pools with concurrent
 //! governed pipelines under worker-crash injection, and hold the
 //! overload claims for the whole run:
 //!
@@ -6,7 +6,7 @@
 //! - every memory-budgeted run refuses with `Exceeded::Memory`, never a
 //!   partial result;
 //! - every sufficiently-budgeted run returns the exact ungoverned value
-//!   (crashes and shedding degrade parallelism, never correctness);
+//!   (crashes degrade parallelism, never correctness);
 //! - every retry-legged run (a transient block fault injected roughly
 //!   every 100th leg, under `RetryPolicy`) returns the exact unfaulted
 //!   value with zero quarantines — block recovery salvages the job
@@ -15,9 +15,18 @@
 //! - the counting allocator's live-byte gauge returns to its pre-soak
 //!   baseline at exit — nothing governed leaks.
 //!
-//! Flags: `--seconds <n>` (duration, default 60), `--procs <p>` (pool
-//! width, default 3), `--json <path>` (machine-readable results in the
-//! `bds-bench/v2` schema, with the `gov` counter block populated).
+//! `procs + 1` drivers run the legs. Each driver runs its deadline legs
+//! on a 2-worker pool of its own, so a deadline leg never queues behind
+//! another leg or runs nested inside one: its latency is the
+//! cancellation latency the 2x claim is about, not a wait for a
+//! neighbour's 100 ms. The memory, sufficient and retry legs of every
+//! driver share one `procs`-wide pool. Every ~250 ms a crash injector
+//! kills a worker of one of these pools, picked pseudo-randomly.
+//!
+//! Flags: `--seconds <n>` (duration, default 60), `--procs <p>` (width
+//! of the shared pool, default 3), `--json <path>` (machine-readable
+//! results in the `bds-bench/v2` schema, with the `gov` counter block
+//! populated; the record's `repeats` is the deadline-leg count).
 //!
 //! Exit status is non-zero if any claim is violated, so CI can run this
 //! binary directly as a gate.
@@ -30,17 +39,23 @@ use bds_bench::json::{GovCounters, JsonReport, Record, RecoveryCounters};
 use bds_bench::{arg_value, seed::splitmix64};
 use bds_metrics::{heap_stats, CountingAlloc};
 use bds_pool::{
-    govern::trip_counts, recovery_counts, run_governed, Budget, Exceeded, Pool, RetryPolicy,
+    govern::trip_counts, recovery_counts, run_governed, Budget, Exceeded, Pool, PoolStats,
+    RetryPolicy,
 };
 use bds_seq::prelude::*;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One driver's share of the hammering: cycle deadline, memory, and
-/// sufficient-budget legs until `stop`, recording violations instead of
-/// panicking (the panic hook is silenced for the whole soak).
+/// One driver's share of the hammering: cycle deadline, memory,
+/// sufficient-budget and retry legs until `stop`, recording violations
+/// instead of panicking (the panic hook is silenced for the whole soak).
 struct Driver<'a> {
+    /// This driver's own pool, which runs its deadline legs and nothing
+    /// else.
+    deadline_pool: &'a Pool,
+    /// The pool every driver's other legs share.
+    shared: &'a Pool,
     stop: &'a AtomicBool,
     violations: &'a Mutex<Vec<String>>,
     deadline_runs: &'a Mutex<Vec<f64>>,
@@ -57,23 +72,23 @@ const FAULT_EVERY: u64 = 100;
 
 /// Deadline for the deadline leg. Generous relative to the poll
 /// interval on purpose: the soak oversubscribes the machine (drivers +
-/// workers + watchdog on however few cores CI has), so the absolute
-/// scheduling jitter can reach tens of milliseconds — the claim under
-/// test is the 2x *ratio* under overload. The tight-latency claim (10 ms
+/// all pools' workers + watchdog on however few cores CI has), so the
+/// absolute scheduling jitter can reach tens of milliseconds — the
+/// claim under test is the 2x *ratio* under overload. The tight-latency claim (10 ms
 /// deadline, 2x bound, quiet machine) is pinned by `tests/governed.rs`.
 const DEADLINE: Duration = Duration::from_millis(100);
 
 impl Driver<'_> {
-    fn run(&self, pool: &Pool, lane: u64) {
+    fn run(&self, lane: u64) {
         let want_sum: u64 = (0..100_000u64).sum();
         let mut k = lane;
         while !self.stop.load(Ordering::Relaxed) {
             self.runs.fetch_add(1, Ordering::Relaxed);
             match k % 4 {
-                0 => self.deadline_leg(pool),
-                1 => self.memory_leg(pool),
-                2 => self.sufficient_leg(pool, want_sum),
-                _ => self.retry_leg(pool, want_sum),
+                0 => self.deadline_leg(),
+                1 => self.memory_leg(),
+                2 => self.sufficient_leg(want_sum),
+                _ => self.retry_leg(want_sum),
             }
             k += 1;
         }
@@ -93,9 +108,9 @@ impl Driver<'_> {
     /// drive loop's counted pull lets the optimizer fold a pure index
     /// function a chunk at a time in closed form, which would finish
     /// the whole input inside the deadline.
-    fn deadline_leg(&self, pool: &Pool) {
+    fn deadline_leg(&self) {
         let started = Instant::now();
-        let r = pool.install(|| {
+        let r = self.deadline_pool.install(|| {
             run_governed(Budget::unlimited().with_deadline(DEADLINE), || {
                 tabulate(2_000_000_000usize, |i| {
                     std::hint::black_box(i as u64).wrapping_mul(31).wrapping_add(7)
@@ -115,8 +130,8 @@ impl Driver<'_> {
 
     /// A 64 KiB budget under a ~8 MB materialization: must refuse as
     /// `Memory`.
-    fn memory_leg(&self, pool: &Pool) {
-        let r = pool.install(|| {
+    fn memory_leg(&self) {
+        let r = self.shared.install(|| {
             run_governed(Budget::unlimited().with_mem_bytes(64 * 1024), || {
                 tabulate(1_000_000usize, |i| i as u64)
                     .map(|x| x.wrapping_mul(3))
@@ -130,9 +145,9 @@ impl Driver<'_> {
     }
 
     /// Generous budgets change nothing: exact ungoverned value, even
-    /// while workers are being crashed and calls shed around this run.
-    fn sufficient_leg(&self, pool: &Pool, want: u64) {
-        let r = pool.install(|| {
+    /// while workers are being crashed and other legs share the pool.
+    fn sufficient_leg(&self, want: u64) {
+        let r = self.shared.install(|| {
             run_governed(
                 Budget::unlimited()
                     .with_deadline(Duration::from_secs(60))
@@ -149,17 +164,17 @@ impl Driver<'_> {
     /// one-shot transient block fault, which `RetryPolicy` must absorb
     /// with a single block retry — the exact unfaulted value comes back,
     /// never a quarantine, a lost result, or a partial one. The fault
-    /// token is leg-local so crashes and shedding around this run cannot
-    /// pile multiple fires onto one attempt and escalate it to a
+    /// token is leg-local so crashes and concurrent legs around this run
+    /// cannot pile multiple fires onto one attempt and escalate it to a
     /// quarantine.
-    fn retry_leg(&self, pool: &Pool, want: u64) {
+    fn retry_leg(&self, want: u64) {
         let nth = self.retry_legs.fetch_add(1, Ordering::Relaxed);
         let faulted = nth.is_multiple_of(FAULT_EVERY);
         if faulted {
             self.faulted_legs.fetch_add(1, Ordering::Relaxed);
         }
         let fires = AtomicU64::new(u64::from(faulted));
-        let r = pool.install(|| {
+        let r = self.shared.install(|| {
             bds_pool::run_recovered(RetryPolicy::default(), || {
                 tabulate(100_000usize, |i| {
                     if i == 500
@@ -202,7 +217,7 @@ struct Outcome {
     worst_s: f64,
 }
 
-/// One full soak round: fresh pool, `procs + 1` concurrent drivers, a
+/// One full soak round: fresh pools, `procs + 1` concurrent drivers, a
 /// crash injected every ~250 ms, all bookkeeping freed before return.
 ///
 /// The warm-up round and the measured round both go through here, so
@@ -213,11 +228,12 @@ struct Outcome {
 fn soak_round(seconds: u64, procs: usize) -> Outcome {
     let trips_before = trip_counts();
     let recovery_before = recovery_counts();
-    // Cap in-pool concurrency so excess governed calls exercise the
-    // shedding path (degraded in-caller execution) instead of queueing,
-    // which also keeps the 2x deadline bound sharp: an admitted run
-    // never waits behind a backlog.
-    let pool = Pool::with_max_inflight(procs, 1);
+    let shared = Pool::new(procs);
+    // Two workers, not `procs`: with one pool per driver, every extra
+    // worker oversubscribes the host further and stretches the deadline
+    // legs' worst latency.
+    let deadline_pools: Vec<Pool> = (0..=procs).map(|_| Pool::new(2)).collect();
+    let pools: Vec<&Pool> = std::iter::once(&shared).chain(&deadline_pools).collect();
     let stop = AtomicBool::new(false);
     let violations = Mutex::new(Vec::new());
     let deadline_runs = Mutex::new(Vec::new());
@@ -227,8 +243,10 @@ fn soak_round(seconds: u64, procs: usize) -> Outcome {
     let faulted_legs = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        for lane in 0..(procs as u64 + 1) {
+        for (lane, deadline_pool) in deadline_pools.iter().enumerate() {
             let driver = Driver {
+                deadline_pool,
+                shared: &shared,
                 stop: &stop,
                 violations: &violations,
                 deadline_runs: &deadline_runs,
@@ -236,31 +254,36 @@ fn soak_round(seconds: u64, procs: usize) -> Outcome {
                 retry_legs: &retry_legs,
                 faulted_legs: &faulted_legs,
             };
-            let pool = &pool;
-            scope.spawn(move || driver.run(pool, lane));
+            scope.spawn(move || driver.run(lane as u64));
         }
-        // Crash injector: kill a pseudo-random worker every ~250 ms.
+        // Crash injector: kill a pseudo-random worker of a
+        // pseudo-random pool every ~250 ms.
         let deadline = Instant::now() + Duration::from_secs(seconds);
         let mut rng = 0x5eed_50a4_u64 ^ seconds;
         while Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(250));
             rng = splitmix64(rng);
-            pool.inject_worker_crash((rng % procs as u64) as usize);
+            let pool = pools[(rng % pools.len() as u64) as usize];
+            pool.inject_worker_crash(((rng >> 32) % pool.num_threads() as u64) as usize);
             crashes.fetch_add(1, Ordering::Relaxed);
         }
         stop.store(true, Ordering::Relaxed);
     });
 
-    let stats = pool.stats();
+    let stats: Vec<PoolStats> = pools.iter().map(|p| p.stats()).collect();
     let trips = trip_counts();
     let gov = GovCounters {
-        sheds: stats.sheds,
-        respawns: stats.respawns,
+        respawns: stats.iter().map(|s| s.respawns).sum(),
         deadline_trips: trips.deadline - trips_before.deadline,
         mem_trips: trips.memory - trips_before.memory,
     };
-    let sched = stats.total();
-    drop(pool);
+    let sched = PoolStats {
+        workers: stats.into_iter().flat_map(|s| s.workers).collect(),
+        ..PoolStats::default()
+    }
+    .total();
+    drop(deadline_pools);
+    drop(shared);
 
     let lat = deadline_runs.into_inner().unwrap();
     let (mean_s, min_s, stddev_s) = summarize(&lat);
@@ -324,12 +347,16 @@ fn main() {
         .unwrap_or(3)
         .max(2);
     // Warm-up round: identical code path, results discarded.
-    eprintln!("soak: warm-up round (1s on a {procs}-worker pool)");
+    eprintln!("soak: warm-up round (1s, same pools)");
     drop(soak_round(1, procs));
     bds_metrics::reset_peak();
     let live_before = quiescent_live();
 
-    eprintln!("soak: {seconds}s on a {procs}-worker pool, {} drivers", procs + 1);
+    eprintln!(
+        "soak: {seconds}s on a {procs}-worker shared pool, {} drivers with a 2-worker \
+         deadline pool each",
+        procs + 1
+    );
     let out = soak_round(seconds, procs);
     let peak = heap_stats().peak_since_reset;
 
@@ -349,14 +376,13 @@ fn main() {
 
     eprintln!(
         "soak: {} governed runs ({} deadline-legged, mean {:.1} ms, worst {:.1} ms), \
-         {} crashes injected, {} respawns, {} sheds, trips: {} deadline / {} memory",
+         {} crashes injected, {} respawns, trips: {} deadline / {} memory",
         out.total_runs,
         out.deadline_legs,
         out.mean_s * 1e3,
         out.worst_s * 1e3,
         out.crashes,
         out.gov.respawns,
-        out.gov.sheds,
         out.gov.deadline_trips,
         out.gov.mem_trips,
     );

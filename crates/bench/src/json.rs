@@ -22,8 +22,7 @@
 //!         "parks": 12, "idle_ns": 123456
 //!       },
 //!       "gov": {
-//!         "sheds": 0, "respawns": 1,
-//!         "deadline_trips": 12, "mem_trips": 3
+//!         "respawns": 1, "deadline_trips": 12, "mem_trips": 3
 //!       },
 //!       "svc": {
 //!         "qps": 5120.0, "p50_s": 0.0011, "p99_s": 0.0089,
@@ -47,10 +46,9 @@
 //! was ambient, or the policy label (`"adaptive"`, `"fixed:8"`, ...)
 //! when the binary pinned one — the `--geometry-sweep` mode of the
 //! geometry binary sets it on every record. `gov` is `null` except for
-//! resource-governance runs (the soak binary), where it carries the
-//! admission/overload counters: pipelines shed to degraded sequential
-//! execution, workers respawned after a crash, and budget trips by
-//! kind. Times are seconds; comparisons should use `min_s` (the
+//! resource-governance runs (the soak binaries), where it carries the
+//! governance counters: workers respawned after a crash, and budget
+//! trips by kind. Times are seconds; comparisons should use `min_s` (the
 //! noise-robust statistic — see `bds_metrics::Timing`).
 //!
 //! `svc` is `null` except for service benchmark runs (the
@@ -88,8 +86,6 @@ pub const SCHEMA: &str = "bds-bench/v2";
 /// Resource-governance counters attached to soak/overload records.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GovCounters {
-    /// Pipelines shed to degraded (sequential, in-caller) execution.
-    pub sheds: u64,
     /// Workers respawned after a crash.
     pub respawns: u64,
     /// Governed runs refused because their deadline passed.
@@ -105,8 +101,7 @@ pub struct GovCounters {
 pub struct RecoveryCounters {
     /// Individual block attempts re-executed after a transient fault.
     pub block_retries: u64,
-    /// Blocks quarantined after exhausting their retry budget (or
-    /// classified deterministic).
+    /// Blocks quarantined after exhausting their retry budget.
     pub quarantines: u64,
     /// Jobs that completed successfully after at least one block retry.
     pub recovered_jobs: u64,
@@ -317,9 +312,9 @@ impl JsonReport {
                 Some(g) => {
                     let _ = write!(
                         out,
-                        ", \"gov\": {{\"sheds\": {}, \"respawns\": {}, \
+                        ", \"gov\": {{\"respawns\": {}, \
                          \"deadline_trips\": {}, \"mem_trips\": {}}}",
-                        g.sheds, g.respawns, g.deadline_trips, g.mem_trips
+                        g.respawns, g.deadline_trips, g.mem_trips
                     );
                 }
                 None => out.push_str(", \"gov\": null"),
@@ -457,7 +452,6 @@ mod tests {
             sched: Some(stats(40, 7)),
             policy: Some("adaptive".into()),
             gov: Some(GovCounters {
-                sheds: 2,
                 respawns: 1,
                 deadline_trips: 12,
                 mem_trips: 3,
@@ -510,7 +504,7 @@ mod tests {
         assert!(s.contains("\"steals\": 7, \"failed_steals\": 0"));
         assert!(s.contains("\"sched\": null"));
         assert!(s.contains(
-            "\"gov\": {\"sheds\": 2, \"respawns\": 1, \"deadline_trips\": 12, \"mem_trips\": 3}"
+            "\"gov\": {\"respawns\": 1, \"deadline_trips\": 12, \"mem_trips\": 3}"
         ));
         assert!(s.contains("\"gov\": null"));
         assert!(s.contains(

@@ -149,7 +149,7 @@ impl GovernCtx {
 }
 
 /// Process-wide counts of budget trips, exported by benchmark harnesses
-/// (soak job) alongside the pool's shed/respawn counters.
+/// (soak job) alongside the pool's respawn counter.
 static DEADLINE_TRIPS: AtomicU64 = AtomicU64::new(0);
 static MEM_TRIPS: AtomicU64 = AtomicU64::new(0);
 
@@ -381,47 +381,6 @@ pub fn run_governed<R>(budget: Budget, f: impl FnOnce() -> R) -> Result<R, Excee
     }
 }
 
-/// The jittered backoff delay before retry `attempt + 1`: uniform in
-/// `[d/2, d]` where `d = base * 2^attempt` ("equal jitter").
-///
-/// A fixed exponential schedule synchronizes concurrent retriers: every
-/// caller shed by the same overload event sleeps the same `base`,
-/// `2*base`, … and the whole herd thunders back at once, re-creating
-/// the overload it is backing off from. Randomizing the upper half of
-/// each delay keeps the exponential spacing (worst case unchanged,
-/// mean `3/4` of the fixed schedule) while spreading retriers across
-/// half a period.
-///
-/// On a *seeded* (deterministic) pool's worker thread the randomness is
-/// that worker's jitter stream, derived from the pool seed like the
-/// steal RNG — so a `BDS_CHECK_SEED` replay of a retried pipeline
-/// sleeps the same jittered delays bit-for-bit. Everywhere else it is a
-/// process-global Weyl sequence fed through SplitMix64 — race-tolerant
-/// (one relaxed `fetch_add`), no seeding, and well distributed even
-/// when many threads draw concurrently.
-pub fn backoff_delay(attempt: usize, base: Duration) -> Duration {
-    let exp = base.saturating_mul(1u32 << attempt.min(16));
-    let nanos = exp.as_nanos().min(u64::MAX as u128) as u64;
-    if nanos < 2 {
-        return exp;
-    }
-    let half = nanos / 2;
-    let jitter = jitter_next() % (nanos - half + 1);
-    Duration::from_nanos(half + jitter)
-}
-
-fn jitter_next() -> u64 {
-    // Deterministic pools get a per-worker stream seeded from the pool
-    // seed (replayable); everyone else shares the global Weyl stream.
-    if let Some(worker) = crate::registry::WorkerThread::current() {
-        if let Some(seeded) = worker.seeded_jitter_next() {
-            return seeded;
-        }
-    }
-    static STATE: AtomicU64 = AtomicU64::new(0x243F_6A88_85A3_08D3);
-    crate::registry::splitmix64(STATE.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,33 +455,6 @@ mod tests {
         // value must come through even though a watchdog entry existed.
         let budget = Budget::default().with_deadline(Duration::from_secs(3600));
         assert_eq!(run_governed(budget, || "done"), Ok("done"));
-    }
-
-    #[test]
-    fn backoff_delay_stays_within_equal_jitter_bounds() {
-        let base = Duration::from_millis(1);
-        for attempt in 0..6usize {
-            let full = base * (1u32 << attempt);
-            for _ in 0..200 {
-                let d = backoff_delay(attempt, base);
-                assert!(d >= full / 2, "attempt {attempt}: {d:?} < {:?}", full / 2);
-                assert!(d <= full, "attempt {attempt}: {d:?} > {full:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn backoff_delay_actually_jitters() {
-        // 64 draws over a 0.5 ms window: collisions of all 64 values
-        // would mean the jitter source is constant.
-        let seen: std::collections::HashSet<Duration> =
-            (0..64).map(|_| backoff_delay(0, Duration::from_millis(1))).collect();
-        assert!(seen.len() > 1, "backoff delays are not jittered");
-    }
-
-    #[test]
-    fn backoff_delay_zero_base_is_zero() {
-        assert_eq!(backoff_delay(3, Duration::ZERO), Duration::ZERO);
     }
 
     #[test]

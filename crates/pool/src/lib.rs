@@ -44,8 +44,8 @@ pub use cancel::{reset_ticker_polls, shield, ticker_polls, with_token};
 pub use govern::{run_governed, Budget, Exceeded};
 pub use latch::{AsyncLatch, Latch};
 pub use recovery::{
-    recover_block, recover_effect_block, recovery_counts, run_recovered,
-    run_recovered_counting, BlockFailed, FaultClass, RecoveryCounts, RetryPolicy,
+    recover_block, recovery_counts, run_recovered, run_recovered_counting, BlockFailed,
+    RecoveryCounts, RetryPolicy,
 };
 pub use stats::{PoolStats, TenantSlot, TenantStats, WorkerStats};
 
@@ -90,7 +90,7 @@ use std::sync::{Arc, OnceLock};
 
 use job::{HeapJob, StackJob};
 use latch::{LockLatch, SpinLatch};
-use registry::{Admission, Registry, WorkerThread};
+use registry::{Registry, WorkerThread};
 
 /// A fixed-size work-stealing thread pool.
 ///
@@ -108,7 +108,7 @@ impl Pool {
     /// # Panics
     /// Panics if `num_threads == 0`.
     pub fn new(num_threads: usize) -> Pool {
-        let (registry, handles) = Registry::new(num_threads, None, None);
+        let (registry, handles) = Registry::new(num_threads, None);
         Pool { registry, handles }
     }
 
@@ -116,22 +116,6 @@ impl Pool {
     /// always 1. The pool steals from every peer alike.
     pub fn num_groups(&self) -> usize {
         1
-    }
-
-    /// Create a pool with an explicit admission cap: at most
-    /// `max_inflight` external [`Pool::install`] calls are admitted
-    /// concurrently; the rest shed to degraded in-caller execution.
-    /// The other constructors set no cap, and their pools never shed.
-    ///
-    /// The cap is strict: admission uses a compare-and-swap, so
-    /// concurrent racers at the boundary shed rather than overshoot.
-    ///
-    /// # Panics
-    /// Panics if `num_threads == 0` or `max_inflight == 0`.
-    pub fn with_max_inflight(num_threads: usize, max_inflight: usize) -> Pool {
-        assert!(max_inflight > 0, "an admission cap of 0 admits nothing");
-        let (registry, handles) = Registry::new(num_threads, None, Some(max_inflight));
-        Pool { registry, handles }
     }
 
     /// Create a pool in **deterministic mode**: every worker's
@@ -151,7 +135,7 @@ impl Pool {
     /// # Panics
     /// Panics if `num_threads == 0`.
     pub fn new_seeded(num_threads: usize, seed: u64) -> Pool {
-        let (registry, handles) = Registry::new(num_threads, Some(seed), None);
+        let (registry, handles) = Registry::new(num_threads, Some(seed));
         Pool { registry, handles }
     }
 
@@ -165,9 +149,8 @@ impl Pool {
     /// While `f` runs, `join`/`parallel_for`/`apply` calls it makes use
     /// this pool's workers. If the calling thread is already a worker of
     /// this pool, `f` runs directly. Otherwise `f` is injected as a root
-    /// job and starts with no ambient cancellation token, wherever it
-    /// runs; only a call shed by a [`Pool::with_max_inflight`] cap runs
-    /// on the caller, under the caller's token.
+    /// job, queued behind whatever the pool is already running, and
+    /// starts with no ambient cancellation token, wherever it runs.
     pub fn install<F, R>(&self, f: F) -> R
     where
         F: FnOnce() -> R + Send,
@@ -178,16 +161,6 @@ impl Pool {
                 return f();
             }
         }
-        // Admission control: past the in-flight cap, run `f` degraded —
-        // sequentially on the calling thread — instead of queueing
-        // unboundedly. The caller still gets a correct result; it just
-        // doesn't get parallelism. Either arm holds its RAII gauge
-        // guard for the whole execution, so a panicking closure still
-        // balances the in-flight accounting.
-        let _admission = match self.registry.try_admit() {
-            Admission::Admitted(guard) => guard,
-            Admission::Shed(_shed) => return run_degraded(f),
-        };
         let job = StackJob::new(
             move || {
                 // An injected root, like a spawned job: a worker waiting
@@ -215,9 +188,9 @@ impl Pool {
     /// [`AsyncLatch`] a future is parked on; `bds-service` builds its
     /// ticket protocol this way).
     ///
-    /// `spawn` bypasses admission control: a scheduler that spawns
-    /// bounds its own concurrency. A panic that escapes `f` unwinds the
-    /// executing worker, which is detected and respawned (counted in
+    /// The pool queues every spawn: a scheduler that spawns bounds its
+    /// own concurrency. A panic that escapes `f` unwinds the executing
+    /// worker, which is detected and respawned (counted in
     /// [`PoolStats::respawns`]) — catch panics inside `f` if they are an
     /// expected outcome.
     ///
@@ -240,21 +213,6 @@ impl Pool {
         Spawner {
             registry: Arc::clone(&self.registry),
         }
-    }
-
-    /// Current number of admitted [`Pool::install`] calls in flight. A
-    /// gauge, exact only in quiescence; rises and falls with load and
-    /// returns to zero when the pool is idle — even when submissions
-    /// panic.
-    pub fn inflight(&self) -> usize {
-        self.registry.inflight_count()
-    }
-
-    /// Current number of shed [`Pool::install`] calls running degraded
-    /// on their caller's thread. Returns to zero in quiescence — even
-    /// when degraded closures panic.
-    pub fn degraded_inflight(&self) -> usize {
-        self.registry.degraded_count()
     }
 
     /// Get or create the named per-tenant counter slot of this pool's
@@ -396,9 +354,10 @@ where
 }
 
 thread_local! {
-    /// Set while a shed `install` runs its closure degraded on the
-    /// calling thread: `join` runs both sides sequentially instead of
-    /// touching any pool.
+    /// Set while `Pool::drop`'s teardown drain runs a leftover job on
+    /// the dropping thread: `join` runs both sides sequentially instead
+    /// of touching any pool, so the drained job never starts the global
+    /// pool.
     static DEGRADED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -416,14 +375,6 @@ fn run_degraded<R>(f: impl FnOnce() -> R) -> R {
 
 fn is_degraded() -> bool {
     DEGRADED.with(|d| d.get())
-}
-
-/// True while the current thread is executing a shed [`Pool::install`]
-/// degraded (sequentially, in-caller). Lets callers and tests observe
-/// which admission path a closure took; inside a degraded run,
-/// [`current_num_threads`] reports 1 and `join` never touches a pool.
-pub fn running_degraded() -> bool {
-    is_degraded()
 }
 
 fn global_pool() -> &'static Pool {
@@ -493,7 +444,7 @@ where
 {
     match WorkerThread::current() {
         Some(worker) => join_on_worker(worker, oper_a, oper_b),
-        // Degraded mode (shed install): stay on the calling thread.
+        // Degraded mode (teardown drain): stay on the calling thread.
         None if is_degraded() => (oper_a(), oper_b()),
         None => global_pool().install(|| join(oper_a, oper_b)),
     }
@@ -937,6 +888,30 @@ mod tests {
             )
         });
         assert_eq!(total, total2);
+    }
+
+    /// The teardown drain's degraded mode: a leftover job runs on the
+    /// dropping thread, sequentially, and still observes cancellation.
+    #[test]
+    fn degraded_runs_stay_on_the_calling_thread() {
+        run_degraded(|| {
+            assert_eq!(current_num_threads(), 1);
+            let caller = std::thread::current().id();
+            let (a, b) = join(|| std::thread::current().id(), || std::thread::current().id());
+            assert_eq!((a, b), (caller, caller));
+
+            let token = CancelToken::new();
+            token.cancel();
+            let ran = AtomicUsize::new(0);
+            cancel::with_token(&token, || {
+                apply(100, |_| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            });
+            assert_eq!(ran.load(Ordering::Relaxed), 0);
+            assert_eq!(token.skipped_blocks(), 100);
+        });
+        assert!(!is_degraded(), "the flag outlived its run");
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! of independently computed, disjoint block writes — which means a
 //! failed block is re-executable in isolation. [`run_recovered`]
 //! installs a [`RetryPolicy`] on the ambient cancellation token, and
-//! the stream core's drive loops wrap each block body in
-//! [`recover_block`]: a panicking block is classified
-//! ([`FaultClass::Transient`] faults are re-executed into the block's
-//! already-reserved disjoint output region; [`FaultClass::Deterministic`]
-//! ones — or transient ones that keep failing past
-//! [`RetryPolicy::max_attempts`] — are **quarantined**), and the run
-//! surfaces exactly one typed [`BlockFailed`] instead of an escaped
-//! panic or a partial result.
+//! the stream core's drive loops wrap each pure block body in
+//! [`recover_block`]: a panicking block is re-executed at once into its
+//! already-reserved disjoint output region, a block that is still
+//! failing after [`RetryPolicy::max_attempts`] executions is
+//! **quarantined**, and the run surfaces exactly one typed
+//! [`BlockFailed`] instead of an escaped panic or a partial result.
 //!
 //! Recovery composes with the rest of the failure machinery rather than
 //! replacing it:
@@ -29,76 +27,34 @@
 //!   a block whose attempt is in flight simply completes on a surviving
 //!   or respawned worker — tier 2 of the recovery ladder (see
 //!   `docs/ARCHITECTURE.md`) is independent of tier 1.
-//! * **Side effects**: `for_each`-style consumers are *not* retryable
-//!   by default (re-running an effectful block would double-apply its
-//!   effects); [`recover_effect_block`] only retries when
-//!   [`RetryPolicy::retry_side_effects`] is explicitly set.
+//! * **Side effects**: `for_each`-style consumers are never retried
+//!   (re-running an effectful block would double-apply its effects):
+//!   their blocks do not run under [`recover_block`], so a fault in one
+//!   propagates as a plain panic.
 //!
 //! Geometry is pinned before the drive loop fans out, so a retried
 //! block re-executes with the same block size and bounds — results are
 //! bit-identical to an unfaulted run.
 
-use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::cancel::{self, CancelToken};
-use crate::govern::backoff_delay;
 
-/// Classification of a block-level fault by a [`RetryPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
-    /// Worth re-executing: injected worker crashes, injected block
-    /// faults, anything timing- or scheduling-dependent. A transient
-    /// fault that keeps firing is reclassified empirically once
-    /// [`RetryPolicy::max_attempts`] identical failures have occurred
-    /// at the same block ordinal.
-    Transient,
-    /// Re-execution is known to fail identically (e.g. an assertion on
-    /// the block's own input data): quarantine immediately, spending no
-    /// further attempts.
-    Deterministic,
-}
-
-/// Default [`RetryPolicy::classify`]: every non-sentinel panic is
-/// assumed transient; determinism is established empirically by
-/// exhausting `max_attempts` at one block ordinal.
-pub fn default_classify(_payload: &(dyn Any + Send)) -> FaultClass {
-    FaultClass::Transient
-}
-
-/// How [`run_recovered`] treats a panicking block.
+/// How [`run_recovered`] treats a panicking block: every panic is
+/// retried at once, until the block has run `max_attempts` times.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total executions a block may consume (first run + retries) before
     /// it is quarantined. `1` means quarantine on first failure (typed
     /// [`BlockFailed`], no re-execution); `0` is treated as `1`.
     pub max_attempts: usize,
-    /// Base of the jittered exponential backoff slept between attempts
-    /// (see [`backoff_delay`]); [`Duration::ZERO`] retries immediately,
-    /// which is what deterministic replay (`BDS_CHECK_SEED`) wants.
-    pub backoff: Duration,
-    /// Classifies a block's panic payload. Returning
-    /// [`FaultClass::Deterministic`] quarantines without further
-    /// attempts; the default classifier treats everything as transient.
-    pub classify: fn(&(dyn Any + Send)) -> FaultClass,
-    /// Allow [`recover_effect_block`] (the `for_each` family) to retry.
-    /// Off by default: re-running a side-effecting block double-applies
-    /// its effects, which is only sound when the caller knows the
-    /// effects are idempotent. See the legality table in `DESIGN.md`.
-    pub retry_side_effects: bool,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-            classify: default_classify,
-            retry_side_effects: false,
-        }
+        RetryPolicy { max_attempts: 3 }
     }
 }
 
@@ -106,25 +62,6 @@ impl RetryPolicy {
     /// Set [`RetryPolicy::max_attempts`].
     pub fn with_max_attempts(mut self, n: usize) -> RetryPolicy {
         self.max_attempts = n;
-        self
-    }
-
-    /// Set [`RetryPolicy::backoff`].
-    pub fn with_backoff(mut self, base: Duration) -> RetryPolicy {
-        self.backoff = base;
-        self
-    }
-
-    /// Set [`RetryPolicy::classify`].
-    pub fn with_classify(mut self, f: fn(&(dyn Any + Send)) -> FaultClass) -> RetryPolicy {
-        self.classify = f;
-        self
-    }
-
-    /// Opt side-effecting consumers into retry (see
-    /// [`RetryPolicy::retry_side_effects`]).
-    pub fn with_retry_side_effects(mut self, yes: bool) -> RetryPolicy {
-        self.retry_side_effects = yes;
         self
     }
 }
@@ -137,9 +74,8 @@ impl RetryPolicy {
 pub struct BlockFailed {
     /// Index of the quarantined block within its drive loop's geometry.
     pub ordinal: usize,
-    /// Executions the block consumed before quarantine (equals the
-    /// policy's `max_attempts` for empirically deterministic faults;
-    /// fewer when the classifier said [`FaultClass::Deterministic`]).
+    /// Executions the block consumed before quarantine: the policy's
+    /// `max_attempts` (at least 1).
     pub attempts: usize,
 }
 
@@ -168,8 +104,8 @@ static RECOVERED_JOBS: AtomicU64 = AtomicU64::new(0);
 pub struct RecoveryCounts {
     /// Individual block re-executions after a transient fault.
     pub block_retries: u64,
-    /// Blocks quarantined (deterministic classification or exhausted
-    /// attempts); each corresponds to one surfaced [`BlockFailed`].
+    /// Blocks quarantined after exhausting their attempts; each
+    /// corresponds to one surfaced [`BlockFailed`].
     pub quarantines: u64,
     /// [`run_recovered`] runs that completed successfully *after* at
     /// least one block retry — faults absorbed invisibly.
@@ -272,27 +208,14 @@ fn ambient_retry_ctx() -> Option<Arc<RetryCtx>> {
 ///   results, not faults) ends the loop.
 /// * A [`Cancelled`](crate::cancel::Cancelled) sentinel is resumed
 ///   unchanged: cancellation is never retried against.
-/// * Any other panic is classified; [`FaultClass::Deterministic`] or an
-///   exhausted attempt budget quarantines the block (records the
-///   [`BlockFailed`], cancels the region so siblings stop at their next
-///   boundary, and abandons via the sentinel); otherwise the block is
-///   re-executed after the policy's backoff.
+/// * Any other panic on the last allowed attempt quarantines the block
+///   (records the [`BlockFailed`], cancels the region so siblings stop
+///   at their next boundary, and abandons via the sentinel); on an
+///   earlier one the block is re-executed at once.
 pub fn recover_block<R>(ordinal: usize, body: impl Fn() -> R) -> R {
     match ambient_retry_ctx() {
         Some(ctx) => retry_loop(&ctx, ordinal, body),
         None => body(),
-    }
-}
-
-/// [`recover_block`] for **side-effecting** block bodies (`for_each`
-/// and friends): retries only when the policy explicitly opted in with
-/// [`RetryPolicy::retry_side_effects`], because re-running an effectful
-/// block double-applies its effects. With retry off (the default) the
-/// body runs exactly once and failures propagate as they always did.
-pub fn recover_effect_block<R>(ordinal: usize, body: impl Fn() -> R) -> R {
-    match ambient_retry_ctx() {
-        Some(ctx) if ctx.policy().retry_side_effects => retry_loop(&ctx, ordinal, body),
-        _ => body(),
     }
 }
 
@@ -310,8 +233,7 @@ fn retry_loop<R>(ctx: &RetryCtx, ordinal: usize, body: impl Fn() -> R) -> R {
             // region) is not a block fault: abandon, never retry.
             resume_unwind(payload);
         }
-        let class = (ctx.policy().classify)(&*payload);
-        if class == FaultClass::Deterministic || attempt >= max_attempts {
+        if attempt >= max_attempts {
             quarantine(ctx, BlockFailed { ordinal, attempts: attempt });
         }
         if cancel::cancellation_requested() {
@@ -319,15 +241,11 @@ fn retry_loop<R>(ctx: &RetryCtx, ordinal: usize, body: impl Fn() -> R) -> R {
             // don't retry into a dead region.
             cancel::abort_region();
         }
-        // Transient: re-execute this block only. The output region is
-        // untouched (writers discard on unwind), geometry is pinned by
-        // the caller, and budgets re-charge naturally on the next
-        // attempt.
+        // Re-execute this block only. The output region is untouched
+        // (writers discard on unwind), geometry is pinned by the caller,
+        // and budgets re-charge naturally on the next attempt.
         BLOCK_RETRIES.fetch_add(1, Ordering::Relaxed);
         ctx.note_retried();
-        if ctx.policy().backoff > Duration::ZERO {
-            std::thread::sleep(backoff_delay(attempt - 1, ctx.policy().backoff));
-        }
     }
 }
 
@@ -346,10 +264,10 @@ fn quarantine(ctx: &RetryCtx, failure: BlockFailed) -> ! {
 
 /// Run `f` with block-granular fault recovery under `policy`: a
 /// recovering [`CancelToken`] is installed as the ambient token, and
-/// every block the stream core's drive loops execute inside `f` is
-/// wrapped in [`recover_block`] / [`recover_effect_block`].
+/// every pure block the stream core's drive loops execute inside `f` is
+/// wrapped in [`recover_block`].
 ///
-/// * If every block completes (possibly after transient-fault retries),
+/// * If every block completes (possibly after retries),
 ///   `Ok(value)` — a run that absorbed at least one retry also bumps
 ///   the process-wide `recovered_jobs` counter.
 /// * If some block was quarantined, exactly one typed
@@ -413,93 +331,12 @@ pub fn run_recovered_counting<R>(
 mod tests {
     use super::*;
     use crate::Pool;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fault_free_run_passes_value_through() {
         let pool = Pool::new(2);
         let r = pool.install(|| run_recovered(RetryPolicy::default(), || 41 + 1));
         assert_eq!(r, Ok(42));
-    }
-
-    #[test]
-    fn classifier_deterministic_skips_retries() {
-        fn classify(_: &(dyn std::any::Any + Send)) -> FaultClass {
-            FaultClass::Deterministic
-        }
-        let pool = Pool::new(2);
-        let attempts = AtomicUsize::new(0);
-        let r: Result<(), BlockFailed> = pool.install(|| {
-            run_recovered(
-                RetryPolicy::default().with_max_attempts(5).with_classify(classify),
-                || {
-                    crate::apply(4, |j| {
-                        recover_block(j, || {
-                            if j == 2 {
-                                attempts.fetch_add(1, Ordering::SeqCst);
-                                panic!("poison");
-                            }
-                        })
-                    });
-                },
-            )
-        });
-        assert_eq!(r, Err(BlockFailed { ordinal: 2, attempts: 1 }));
-        assert_eq!(attempts.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn effect_blocks_do_not_retry_by_default() {
-        let pool = Pool::new(2);
-        let attempts = AtomicUsize::new(0);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| {
-                run_recovered(RetryPolicy::default(), || {
-                    crate::apply(4, |j| {
-                        recover_effect_block(j, || {
-                            if j == 1 {
-                                attempts.fetch_add(1, Ordering::SeqCst);
-                                panic!("effectful fault");
-                            }
-                        })
-                    });
-                })
-            })
-        }));
-        // With side-effect retry off, the fault is not a block fault:
-        // it propagates as a plain panic (exactly pre-recovery
-        // behavior) after a single execution.
-        assert!(caught.is_err(), "effect fault must propagate");
-        assert_eq!(attempts.load(Ordering::SeqCst), 1);
-        assert_eq!(pool.install(|| 5), 5);
-    }
-
-    #[test]
-    fn effect_blocks_retry_when_opted_in() {
-        let pool = Pool::new(2);
-        let failures_left = AtomicUsize::new(1);
-        let r = pool.install(|| {
-            run_recovered(
-                RetryPolicy::default().with_retry_side_effects(true),
-                || {
-                    let done = AtomicUsize::new(0);
-                    crate::apply(4, |j| {
-                        recover_effect_block(j, || {
-                            if j == 1 && failures_left.fetch_update(
-                                Ordering::SeqCst,
-                                Ordering::SeqCst,
-                                |n| n.checked_sub(1),
-                            ).is_ok() {
-                                panic!("transient effect fault");
-                            }
-                            done.fetch_add(1, Ordering::SeqCst);
-                        })
-                    });
-                    done.load(Ordering::SeqCst)
-                },
-            )
-        });
-        assert_eq!(r, Ok(4));
     }
 
     #[test]

@@ -39,18 +39,6 @@ pub(crate) struct Registry {
     respawns: AtomicU64,
     /// Join handles of respawned workers, reaped by `Pool::drop`.
     respawned: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// External `install`s declined by admission control and degraded
-    /// to sequential in-caller execution.
-    sheds: AtomicU64,
-    /// External `install`s currently admitted (injected or running).
-    inflight: AtomicUsize,
-    /// Shed `install`s currently running degraded on their caller's
-    /// thread. Tracked separately from `inflight` so degraded work does
-    /// not consume admission slots.
-    degraded_inflight: AtomicUsize,
-    /// Admission cap ([`crate::Pool::with_max_inflight`]); `None` means
-    /// no cap: the pool never sheds.
-    max_inflight: Option<usize>,
     /// Named per-tenant counter slots handed out by
     /// [`Registry::tenant_slot`]; snapshotted into
     /// [`PoolStats::tenants`]. Small (one entry per tenant) and touched
@@ -71,10 +59,6 @@ pub(crate) struct WorkerThread {
     index: usize,
     /// xorshift state for randomized steal order.
     rng: Cell<u64>,
-    /// Separate xorshift state for retry-backoff jitter (see
-    /// [`WorkerThread::seeded_jitter_next`]); kept apart from the steal
-    /// RNG so drawing jitter never perturbs victim selection replay.
-    jitter: Cell<u64>,
 }
 
 impl Registry {
@@ -83,7 +67,6 @@ impl Registry {
     pub(crate) fn new(
         num_threads: usize,
         seed: Option<u64>,
-        max_inflight: Option<usize>,
     ) -> (Arc<Registry>, Vec<std::thread::JoinHandle<()>>) {
         assert!(num_threads > 0, "a pool needs at least one thread");
         let workers: Vec<Worker<JobRef>> =
@@ -102,10 +85,6 @@ impl Registry {
             kill_requests: (0..num_threads).map(|_| AtomicBool::new(false)).collect(),
             respawns: AtomicU64::new(0),
             respawned: Mutex::new(Vec::new()),
-            sheds: AtomicU64::new(0),
-            inflight: AtomicUsize::new(0),
-            degraded_inflight: AtomicUsize::new(0),
-            max_inflight,
             tenants: Mutex::new(Vec::new()),
         });
         let handles = workers
@@ -161,7 +140,6 @@ impl Registry {
         PoolStats {
             workers: self.counters.iter().map(WorkerCounters::snapshot).collect(),
             respawns: self.respawns.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
             recovery: crate::recovery::recovery_counts(),
             tenants: self
                 .tenants
@@ -187,46 +165,6 @@ impl Registry {
         if self.kill_requests[index].swap(false, Ordering::AcqRel) {
             std::panic::panic_any(InjectedCrash);
         }
-    }
-
-    /// Admission control for external `install`s. `Admitted` carries the
-    /// RAII guard for the in-flight gauge; `Shed` means the call was
-    /// declined (counted in `sheds`) and must degrade to sequential
-    /// in-caller execution — its guard tracks the degraded run on the
-    /// `degraded_inflight` gauge so a panic in the degraded closure
-    /// still balances the books.
-    ///
-    /// Sheds only when the explicit `max_inflight` cap is reached; a
-    /// pool without a cap (every seeded pool among them) admits every
-    /// call, but still tracks the gauge.
-    pub(crate) fn try_admit(&self) -> Admission<'_> {
-        // The cap is enforced with a CAS, so `inflight` never exceeds
-        // `max_inflight`: concurrent racers at the boundary shed instead
-        // of overshooting.
-        let cap = self.max_inflight.unwrap_or(usize::MAX);
-        let admitted = self
-            .inflight
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < cap).then_some(n + 1)
-            })
-            .is_ok();
-        if admitted {
-            Admission::Admitted(InflightGuard(self))
-        } else {
-            self.sheds.fetch_add(1, Ordering::Relaxed);
-            self.degraded_inflight.fetch_add(1, Ordering::SeqCst);
-            Admission::Shed(ShedGuard(self))
-        }
-    }
-
-    /// Current value of the admitted-in-flight gauge.
-    pub(crate) fn inflight_count(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
-    /// Current value of the degraded-in-flight gauge.
-    pub(crate) fn degraded_count(&self) -> usize {
-        self.degraded_inflight.load(Ordering::SeqCst)
     }
 
     /// Get or create the named per-tenant counter slot.
@@ -309,36 +247,6 @@ impl Registry {
 /// behind [`crate::Pool::inject_worker_crash`]).
 struct InjectedCrash;
 
-/// Outcome of [`Registry::try_admit`]: either way the caller gets an
-/// RAII guard, so both the admitted and the degraded path balance their
-/// gauge even when the governed closure unwinds.
-pub(crate) enum Admission<'a> {
-    /// The call may run on the pool; holds an in-flight slot.
-    Admitted(#[allow(dead_code)] InflightGuard<'a>),
-    /// The call was shed and must run degraded on the caller's thread.
-    Shed(#[allow(dead_code)] ShedGuard<'a>),
-}
-
-/// RAII: decrements the registry's external-install gauge on drop.
-pub(crate) struct InflightGuard<'a>(&'a Registry);
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// RAII: decrements the registry's degraded-in-flight gauge on drop.
-/// Held across the whole degraded execution of a shed `install`, so the
-/// gauge is balanced whether the closure returns or panics.
-pub(crate) struct ShedGuard<'a>(&'a Registry);
-
-impl Drop for ShedGuard<'_> {
-    fn drop(&mut self) {
-        self.0.degraded_inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// RAII: marks a worker's `busy` gauge for the span of one top-level
 /// job execution, clearing it even if the job unwinds.
 struct BusyGuard<'a>(&'a WorkerCounters);
@@ -356,13 +264,9 @@ impl Drop for BusyGuard<'_> {
     }
 }
 
-/// Salt decorrelating the per-worker jitter stream from the steal-RNG
-/// stream derived from the same pool seed.
-const JITTER_SALT: u64 = 0x6A17_7E52_BACC_0FF5;
-
 /// SplitMix64 finalizer: decorrelates per-worker RNG streams derived
-/// from one pool seed (also used for retry jitter in `govern`).
-pub(crate) fn splitmix64(x: u64) -> u64 {
+/// from one pool seed.
+fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -375,18 +279,11 @@ fn worker_main(worker: Worker<JobRef>, registry: Arc<Registry>, index: usize) {
         Some(seed) => splitmix64(seed ^ (index as u64 + 1)) | 1,
         None => 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(index as u64 + 1) | 1,
     };
-    // Jitter stream: decorrelated from the steal RNG by a fixed salt, so
-    // seeded pools replay both steal order *and* backoff delays.
-    let jitter_seed = match registry.seed {
-        Some(seed) => splitmix64(seed ^ JITTER_SALT ^ (index as u64 + 1)) | 1,
-        None => 0xD1B5_4A32_D192_ED03_u64.wrapping_mul(index as u64 + 1) | 1,
-    };
     let me = WorkerThread {
         worker,
         registry,
         index,
         rng: Cell::new(rng_seed),
-        jitter: Cell::new(jitter_seed),
     };
     WORKER.with(|w| w.set(&me as *const WorkerThread));
     // Job panics are caught at the join point and never unwind the main
@@ -450,22 +347,6 @@ impl WorkerThread {
         x ^= x << 17;
         self.rng.set(x);
         (x % self.registry.num_threads as u64) as usize
-    }
-
-    /// The next retry-backoff jitter draw from this worker's seeded
-    /// stream, or `None` when the pool is not in deterministic mode
-    /// (callers then fall back to the process-global jitter source).
-    /// Derived from the pool seed like the steal RNG, so a
-    /// `BDS_CHECK_SEED` replay of a retried pipeline sleeps identical
-    /// delays.
-    pub(crate) fn seeded_jitter_next(&self) -> Option<u64> {
-        self.registry.seed?;
-        let mut x = self.jitter.get();
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.jitter.set(x);
-        Some(x.wrapping_mul(0x2545_F491_4F6C_DD1D))
     }
 
     /// This worker's counter slot.

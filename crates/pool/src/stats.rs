@@ -355,11 +355,6 @@ pub struct PoolStats {
     /// e.g. via the crash-injection hook) and were respawned by the
     /// registry. Cumulative over the pool's lifetime.
     pub respawns: u64,
-    /// `install` calls the pool declined to queue and degraded to
-    /// sequential in-caller execution instead, because its
-    /// [`crate::Pool::with_max_inflight`] cap was reached. Always 0 for
-    /// a pool without a cap. Cumulative over the pool's lifetime.
-    pub sheds: u64,
     /// Block-recovery counters (retries, quarantines, recovered runs).
     /// Process-wide, like the governance trip counters: recovery state
     /// lives on tokens, not pools, so the snapshot reports the
@@ -409,7 +404,6 @@ impl PoolStats {
         PoolStats {
             workers,
             respawns: self.respawns.saturating_sub(baseline.respawns),
-            sheds: self.sheds.saturating_sub(baseline.sheds),
             recovery: self.recovery.saturating_sub(&baseline.recovery),
             tenants,
         }
@@ -434,7 +428,6 @@ mod tests {
         let after = PoolStats {
             workers: vec![w(5, 2), w(7, 3)],
             respawns: 1,
-            sheds: 2,
             ..Default::default()
         };
         assert_eq!(after.total().jobs_executed, 12);
@@ -443,7 +436,6 @@ mod tests {
         assert_eq!(d.total().steals, 4);
         assert_eq!(d.num_threads(), 2);
         assert_eq!(d.respawns, 1);
-        assert_eq!(d.sheds, 2);
     }
 
     #[test]

@@ -1,178 +1,20 @@
-//! Admission-control accounting under concurrency and panics.
+//! Root jobs: what `spawn` and a cross-thread `install` inject.
 //!
 //! Two properties are pinned here:
 //!
-//! * **Conservation at the cap boundary.** With many threads racing
-//!   `install` against a small `max_inflight` cap, every submission is
-//!   either admitted or shed — `admitted + shed == submissions`, the
-//!   pool's `sheds` counter agrees with the callers' own observations,
-//!   and the strict (CAS) cap means the number of *concurrently
-//!   admitted* closures never exceeds the cap.
-//! * **Panic-safe gauges.** Both the admitted and the degraded (shed)
-//!   execution path hold their in-flight gauge with an RAII guard, so a
-//!   panicking closure leaves both gauges at zero — the bug this guards
-//!   against is a shed submission leaking its slot on unwind and
-//!   eventually wedging admission shut.
+//! * **Spawned jobs run.** Every `spawn` runs exactly once, including a
+//!   chain of jobs that spawn their successors through a `Spawner` and
+//!   jobs still queued when the pool is dropped: the teardown drain
+//!   runs them on the dropping thread instead of leaking them.
+//! * **Roots start clean.** A worker waiting on a join latch may run an
+//!   injected job nested inside another job. Neither a spawned job nor
+//!   an installed one may inherit that job's ambient token, and with it
+//!   a budget or a retry context.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use bds_pool::Pool;
-
-/// Race `threads * per_thread` installs against a cap of `cap` on a
-/// pool of `width` workers, and check the conservation law.
-fn race_at_cap(width: usize, cap: usize) {
-    let pool = Pool::with_max_inflight(width, cap);
-    let threads = 8;
-    let per_thread = 40;
-
-    let admitted = AtomicUsize::new(0);
-    let shed = AtomicUsize::new(0);
-    let concurrent = AtomicUsize::new(0);
-    let high_water = AtomicUsize::new(0);
-    let barrier = Barrier::new(threads);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                barrier.wait();
-                for _ in 0..per_thread {
-                    pool.install(|| {
-                        if bds_pool::running_degraded() {
-                            shed.fetch_add(1, Ordering::SeqCst);
-                        } else {
-                            let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
-                            high_water.fetch_max(now, Ordering::SeqCst);
-                            admitted.fetch_add(1, Ordering::SeqCst);
-                            // Hold the slot briefly so racers pile up at
-                            // the boundary.
-                            std::thread::sleep(Duration::from_micros(50));
-                            concurrent.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    });
-                }
-            });
-        }
-    });
-
-    let admitted = admitted.load(Ordering::SeqCst);
-    let shed = shed.load(Ordering::SeqCst);
-    let submissions = threads * per_thread;
-
-    // Conservation: every submission took exactly one path.
-    assert_eq!(
-        admitted + shed,
-        submissions,
-        "admitted ({admitted}) + shed ({shed}) != submissions ({submissions})"
-    );
-    // The pool's own shed counter agrees with what the closures saw.
-    assert_eq!(pool.stats().sheds, shed as u64, "sheds counter disagrees");
-    // The CAS cap is strict: concurrently admitted closures never
-    // exceeded it.
-    assert!(
-        high_water.load(Ordering::SeqCst) <= cap,
-        "cap {cap} overshot: {} concurrent admitted closures",
-        high_water.load(Ordering::SeqCst)
-    );
-    // Quiescent pool: both gauges are back to zero.
-    assert_eq!(pool.inflight(), 0);
-    assert_eq!(pool.degraded_inflight(), 0);
-}
-
-#[test]
-fn admit_race_at_cap_width_2() {
-    race_at_cap(2, 2);
-}
-
-#[test]
-fn admit_race_at_cap_width_max() {
-    let width = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .max(2);
-    race_at_cap(width, 2);
-}
-
-#[test]
-fn admit_race_at_cap_one() {
-    // The tightest boundary: a single slot.
-    race_at_cap(2, 1);
-}
-
-/// Park one install inside the pool so the (cap = 1) slot is taken,
-/// then run `blocked` on another thread and return its result.
-fn with_slot_held<R: Send>(
-    pool: &Pool,
-    blocked: impl FnOnce() -> R + Send,
-) -> R {
-    let hold = AtomicUsize::new(0);
-    let release = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let (hold_ref, release_ref) = (&hold, &release);
-        s.spawn(move || {
-            pool.install(|| {
-                hold_ref.store(1, Ordering::SeqCst);
-                while release_ref.load(Ordering::SeqCst) == 0 {
-                    std::hint::spin_loop();
-                }
-            });
-        });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while hold.load(Ordering::SeqCst) == 0 {
-            assert!(Instant::now() < deadline, "holder never started");
-            std::hint::spin_loop();
-        }
-        let result = blocked();
-        release.store(1, Ordering::SeqCst);
-        result
-    })
-}
-
-#[test]
-fn shed_panic_decrements_degraded_inflight() {
-    let pool = Pool::with_max_inflight(2, 1);
-    with_slot_held(&pool, || {
-        // The slot is taken: this install sheds, runs degraded, and
-        // panics. The gauge must still come back to zero.
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| {
-                assert!(bds_pool::running_degraded(), "expected the shed path");
-                panic!("degraded closure exploded");
-            })
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(
-            pool.degraded_inflight(),
-            0,
-            "shed path leaked its in-flight slot on panic"
-        );
-        assert_eq!(pool.stats().sheds, 1);
-    });
-    // After the holder finishes, the admitted gauge is balanced too.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while pool.inflight() != 0 {
-        assert!(Instant::now() < deadline, "admitted gauge never cleared");
-        std::hint::spin_loop();
-    }
-}
-
-#[test]
-fn admitted_panic_decrements_inflight() {
-    let pool = Pool::with_max_inflight(2, 4);
-    let unwound = catch_unwind(AssertUnwindSafe(|| {
-        pool.install(|| {
-            assert!(!bds_pool::running_degraded());
-            panic!("admitted closure exploded");
-        })
-    }));
-    assert!(unwound.is_err());
-    assert_eq!(pool.inflight(), 0, "admitted path leaked its slot on panic");
-    assert_eq!(pool.degraded_inflight(), 0);
-    // The pool is still usable.
-    assert_eq!(pool.install(|| 5), 5);
-}
 
 #[test]
 fn spawned_jobs_run_and_wake_latches() {

@@ -124,8 +124,8 @@ pub use filter::Filtered;
 pub use flatten::{flatten, Flattened, RegionIter};
 pub use governed::{run_governed, Budget, Exceeded};
 pub use bds_pool::{
-    recovery_counts, run_recovered, run_recovered_counting, BlockFailed, FaultClass,
-    RecoveryCounts, RetryPolicy,
+    recovery_counts, run_recovered, run_recovered_counting, BlockFailed, RecoveryCounts,
+    RetryPolicy,
 };
 pub use policy::{
     block_size, block_size_costed, force_block_size, policy, set_policy, BlockSizeGuard, Policy,

@@ -54,14 +54,14 @@
 //!    bounded by its own region, whose push past the region's end
 //!    panics: that is what makes the disjoint parallel writes safe even
 //!    when a stream miscounts.
-//!    Every block body runs under [`bds_pool::recover_block`]
-//!    ([`bds_pool::recover_effect_block`] for the side-effecting
-//!    `for_each` loops): when an enclosing
+//!    Every block body except the side-effecting `for_each` loops'
+//!    runs under [`bds_pool::recover_block`]: when an enclosing
 //!    [`bds_pool::run_recovered`] supplies a
-//!    [`bds_pool::RetryPolicy`], a panicking block is classified and
-//!    transient faults re-execute *only that block* into its
-//!    already-reserved region — geometry is solved once, before the
-//!    loop, so a retried run is bit-identical to an unfaulted one.
+//!    [`bds_pool::RetryPolicy`], a panicking block re-executes *only
+//!    that block* into its already-reserved region — geometry is
+//!    solved once, before the loop, so a retried run is bit-identical
+//!    to an unfaulted one. A `for_each` block is never retried: a
+//!    re-run would apply its effects twice.
 //!
 //! # Cancellation polling
 //!
@@ -490,19 +490,16 @@ impl<'s, S: IndexedStream + ?Sized + 's> Pull<'s, S> {
 
 /// Stream every block through `f`, in parallel, producing no output.
 ///
-/// Side-effecting blocks re-run user effects on retry, so this loop
-/// goes through [`bds_pool::recover_effect_block`]: blocks are *not*
-/// retried unless the ambient [`bds_pool::RetryPolicy`] explicitly
-/// opted in via `retry_side_effects` (see the legality table in
-/// DESIGN.md).
+/// Side-effecting blocks would re-run user effects on retry, so this
+/// loop does not go through [`bds_pool::recover_block`]: a fault
+/// propagates as a plain panic, even under a
+/// [`bds_pool::RetryPolicy`] (see the legality table in DESIGN.md).
 fn visit_blocks<S, F>(s: &S, g: Geometry, f: F)
 where
     S: IndexedStream + ?Sized,
     F: Fn(usize, Pull<'_, S>) + Send + Sync,
 {
-    bds_pool::apply(g.nb, |j| {
-        bds_pool::recover_effect_block(j, || f(j, pull(s, g, j)))
-    });
+    bds_pool::apply(g.nb, |j| f(j, pull(s, g, j)));
 }
 
 /// One output per block: stream block `j` through `f` and collect the

@@ -278,8 +278,8 @@ fn pure_consumers_retry_a_transient_fault() {
 }
 
 // ---------------------------------------------------------------------
-// The legality boundary: side-effecting consumers are not retried
-// unless explicitly opted in (see the DESIGN.md legality table).
+// The legality boundary: side-effecting consumers are never retried
+// (see the DESIGN.md legality table).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -304,28 +304,4 @@ fn for_each_is_not_retried_by_default() {
         "a fault in a side-effecting consumer must propagate, not retry"
     );
     assert_eq!(TARGET_CALLS.load(Ordering::SeqCst), 1, "no second attempt");
-}
-
-#[test]
-fn for_each_retries_when_opted_in_with_idempotent_effects() {
-    let _l = lock();
-    let _q = Quiet::install();
-    let _g = bds_seq::force_block_size(64);
-    let pool = Pool::new_seeded(2, 0xB10C_F41B);
-
-    arm(1);
-    let seen: Vec<AtomicBool> = (0..N).map(|_| AtomicBool::new(false)).collect();
-    let before = recovery_counts();
-    let got = pool.install(|| {
-        run_recovered(RetryPolicy::default().with_retry_side_effects(true), || {
-            tabulate(N, elem).for_each(|x| {
-                // Idempotent effect: marking an index is safe to replay.
-                seen[((x - 1) / 3) as usize].store(true, Ordering::Relaxed);
-            })
-        })
-    });
-    let d = recovery_counts().saturating_sub(&before);
-    assert_eq!(got, Ok(()));
-    assert_eq!(d.block_retries, 1);
-    assert!(seen.iter().all(|b| b.load(Ordering::Relaxed)), "every index visited");
 }

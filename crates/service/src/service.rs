@@ -544,7 +544,7 @@ impl Service {
     }
 
     /// Snapshot the underlying pool's statistics — per-worker scheduler
-    /// counters, respawns, sheds, and the per-tenant counters this
+    /// counters, respawns, and the per-tenant counters this
     /// service maintains ([`PoolStats::tenants`]).
     pub fn stats(&self) -> PoolStats {
         self.pool.stats()
