@@ -810,32 +810,25 @@ pub fn eval_delay(p: &Pipeline) -> Outcome {
 }
 
 /// Shared consumer lowering for both erased representations: each arm
-/// calls the unified indexed-stream drive loops (`bds_seq::stream`)
-/// through the same `of_seq` instantiation the monomorphized pipelines
-/// use — the erased leg differs from the static one only in its boxed
-/// block streams, never in the engine.
+/// calls the drive loops of `bds_seq::stream` with the erased box, as
+/// the monomorphized pipelines call them with their own sequences —
+/// the erased leg differs from the static one only in its boxed block
+/// streams, never in the engine.
 fn consume_seq<S: Seq<Item = u64>>(s: S, p: &Pipeline) -> Outcome {
     use bds_seq::stream;
     match p.consumer {
-        Consumer::ToVec => Outcome::Value(stream::to_vec(&stream::of_seq(&s))),
+        Consumer::ToVec => Outcome::Value(stream::to_vec(&s)),
         Consumer::Force => Outcome::Value(s.force().as_slice().to_vec()),
-        Consumer::Reduce(c) => Outcome::Scalar(stream::reduce(
-            &stream::of_seq(&s),
-            c.identity(),
-            &comb_fn(c),
-        )),
-        Consumer::Count(pr) => Outcome::Num(stream::count(
-            &stream::of_seq(&s),
-            &pred_fn(pr, p.consumer_panic_poison()),
-        )),
+        Consumer::Reduce(c) => Outcome::Scalar(stream::reduce(&s, c.identity(), &comb_fn(c))),
+        Consumer::Count(pr) => {
+            Outcome::Num(stream::count(&s, &pred_fn(pr, p.consumer_panic_poison())))
+        }
         Consumer::FilterCollect(pr) => {
             Outcome::Value(s.filter(pred_fn(pr, p.consumer_panic_poison())).to_vec())
         }
         Consumer::TryReduce(c) => {
             let f = comb_fn(c);
-            match stream::try_reduce(&stream::of_seq(&s), c.identity(), &move |a, b| {
-                Ok::<u64, u64>(f(a, b))
-            }) {
+            match stream::try_reduce(&s, c.identity(), &move |a, b| Ok::<u64, u64>(f(a, b))) {
                 Ok(x) => Outcome::Scalar(x),
                 Err(e) => Outcome::ErrCode(e),
             }

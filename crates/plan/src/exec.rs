@@ -742,9 +742,12 @@ mod tests {
     #[test]
     fn both_modes_abandon_a_cancelled_run_within_one_chunk() {
         let _g = GEOMETRY.lock().unwrap_or_else(|e| e.into_inner());
+        // Sixteen blocks in parallel mode, so a filtered collect packs
+        // several blocks and a scan runs its seed pass.
+        let _bs = bds_seq::force_block_size(4 * CHUNK);
         let calls = Arc::new(AtomicUsize::new(0));
         let c = calls.clone();
-        let p = Pipe::tabulate(1 << 16, move |i| {
+        let source = Pipe::tabulate(1 << 16, move |i| {
             if c.fetch_add(1, Ordering::Relaxed) == 0 {
                 bds_pool::cancel::current_token()
                     .expect("the run has an ambient token")
@@ -752,24 +755,37 @@ mod tests {
             }
             i as u64
         });
+        let pipes = [
+            ("exact", source.clone()),
+            ("filter", source.clone().filter(|x| x % 2 == 0)),
+            ("scan", source.scan(0, u64::wrapping_add)),
+        ];
+        let consumers = [
+            ConsumerOp::Collect,
+            ConsumerOp::Reduce(0, Arc::new(u64::wrapping_add), SIMPLE),
+            ConsumerOp::Count(Arc::new(|x: &u64| x.is_multiple_of(3)), SIMPLE),
+        ];
         // One worker: blocks run one after another, so only the block
         // that cancelled can be mid-chunk when the token trips.
         let pool = bds_pool::Pool::new(1);
-        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            calls.store(0, Ordering::Relaxed);
-            let token = bds_pool::CancelToken::new();
-            let plan = identity_plan(p.shape(ConsumerKind::Collect), mode);
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.install(|| {
-                    bds_pool::with_token(&token, || p.execute(&plan, &ConsumerOp::Collect))
-                })
-            }));
-            assert!(run.is_err(), "{mode:?}: a cancelled run must be abandoned");
-            let made = calls.load(Ordering::Relaxed);
-            assert!(
-                made <= CHUNK,
-                "{mode:?}: {made} source calls after cancelling at the first"
-            );
+        for (name, p) in &pipes {
+            for consumer in &consumers {
+                for mode in [ExecMode::Parallel, ExecMode::Sequential] {
+                    let what = format!("{name}, {:?}, {mode:?}", consumer.kind());
+                    calls.store(0, Ordering::Relaxed);
+                    let token = bds_pool::CancelToken::new();
+                    let plan = identity_plan(p.shape(consumer.kind()), mode);
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        pool.install(|| bds_pool::with_token(&token, || p.execute(&plan, consumer)))
+                    }));
+                    assert!(run.is_err(), "{what}: a cancelled run must be abandoned");
+                    let made = calls.load(Ordering::Relaxed);
+                    assert!(
+                        made <= CHUNK,
+                        "{what}: {made} source calls after cancelling at the first"
+                    );
+                }
+            }
         }
     }
 

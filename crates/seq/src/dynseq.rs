@@ -20,7 +20,8 @@
 use std::sync::Arc;
 
 use crate::policy::block_size;
-use crate::stream::{self, IndexedStream};
+use crate::stream;
+use crate::traits::Seq;
 use crate::util::scan_sequential;
 
 /// A boxed block stream. Like the static leaf streams it polls
@@ -32,21 +33,23 @@ pub type DynStream<T> = Box<dyn Iterator<Item = T> + Send>;
 type IndexFn<T> = Arc<dyn Fn(usize) -> T + Send + Sync>;
 type BlockFn<T> = Arc<dyn Fn(usize) -> DynStream<T> + Send + Sync>;
 
-/// The dynamic instantiation of the indexed-stream core: a borrowed
-/// view of a [`DSeq::Bid`]'s fixed geometry and boxed block streams.
+/// A [`DSeq::Bid`]'s fixed geometry and boxed block streams, borrowed
+/// as a [`Seq`] so that the drive loops in [`crate::stream`] consume
+/// it like any other sequence.
 ///
 /// `DSeq` is deliberately *cost-blind*: a BID's block size is fixed when
 /// [`DSeq::to_bid`] runs (via [`crate::policy::block_size`], with no
 /// per-element cost input — the ML transcription has no cost model), so
-/// the stream reports it as its [`IndexedStream::fixed_block_size`] and
-/// the drive loops never consult its cost.
+/// the view reports it as its [`Seq::fixed_block_size`] and keeps the
+/// default [`Seq::elem_cost`], which the drive loops never consult for
+/// a fixed size.
 struct BidStream<'a, T> {
     len: usize,
     bs: usize,
     b: &'a BlockFn<T>,
 }
 
-impl<T: Send + Sync + Clone + 'static> IndexedStream for BidStream<'_, T> {
+impl<T: Send + Sync + Clone + 'static> Seq for BidStream<'_, T> {
     type Item = T;
     type Block<'s>
         = DynStream<T>
@@ -61,11 +64,7 @@ impl<T: Send + Sync + Clone + 'static> IndexedStream for BidStream<'_, T> {
         Some(self.bs)
     }
 
-    fn elem_cost(&self) -> bds_cost::ElemCost {
-        bds_cost::SIMPLE
-    }
-
-    fn stream_block(&self, j: usize, bs: usize) -> DynStream<T> {
+    fn block(&self, j: usize, bs: usize) -> DynStream<T> {
         debug_assert_eq!(bs, self.bs);
         (self.b)(j)
     }

@@ -25,10 +25,9 @@
 //!
 //! Because [`BoxSeq`] and [`BoxRad`] implement [`Seq`], they get the
 //! erased lowering's consumer loops for free: every consumer default
-//! routes through the indexed-stream core ([`crate::stream`]) via the
-//! same [`crate::stream::of_seq`] instantiation as the monomorphized
-//! pipelines — the erased leg runs the *identical* drive loop, only
-//! the block streams are boxed.
+//! calls the drive loops of [`crate::stream`] with the box itself, as
+//! the monomorphized pipelines call them with theirs — the erased leg
+//! runs the *identical* drive loop, only the block streams are boxed.
 //!
 //! The price is one virtual `next` call per element per erased layer —
 //! a block stream is a boxed iterator, and every element crosses the

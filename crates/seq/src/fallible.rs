@@ -1,7 +1,8 @@
-//! Fallible eager consumers: short-circuiting variants of `reduce`,
-//! `scan`, `filter`, and `force` for pipelines whose closures can fail.
+//! Fallible eager consumers: short-circuiting variants of `reduce` and
+//! `filter` for pipelines whose closures can fail ([`Seq::try_reduce`],
+//! [`Seq::try_filter_collect`]).
 //!
-//! All of these run their parallel phases through
+//! Both run their parallel phase through
 //! [`bds_pool::apply_cancellable`], so the first block that returns
 //! `Err` (or panics) cancels the region: sibling blocks stop at their
 //! next block boundary instead of running to completion, and partial
@@ -15,43 +16,17 @@
 //!
 //! Like their infallible counterparts, these operations may invoke the
 //! fallible closure on *more* argument pairs than a sequential run
-//! would (e.g. `try_scan`'s parallel combine tree evaluates per-block
-//! partial sums). A failure anywhere in that tree yields `Err`, so an
-//! operator that fails on some input may surface an error that a purely
-//! sequential evaluation would not encounter. Operators should be
-//! associative where they succeed, and fail consistently.
+//! would (e.g. `try_reduce` combines per-block partial sums, a pairing
+//! a left-to-right fold never forms). A failure anywhere in that tree
+//! yields `Err`, so an operator that fails on some input may surface an
+//! error that a purely sequential evaluation would not encounter.
+//! Operators should be associative where they succeed, and fail
+//! consistently.
 
+use crate::flatten::Flattened;
 use crate::sources::Forced;
 use crate::stream;
 use crate::traits::Seq;
-use crate::flatten::Flattened;
-
-/// Fallible two-phase block reduce; see [`Seq::try_reduce`]. One
-/// instantiation of the indexed-stream core's [`stream::try_reduce`].
-pub(crate) fn try_reduce<S, E, F>(seq: &S, zero: S::Item, f: &F) -> Result<S::Item, E>
-where
-    S: Seq + ?Sized,
-    F: Fn(S::Item, S::Item) -> Result<S::Item, E> + Send + Sync,
-    E: Send,
-{
-    stream::try_reduce(&stream::of_seq(seq), zero, f)
-}
-
-/// Fallible eager exclusive scan; see [`Seq::try_scan`]. One
-/// instantiation of the indexed-stream core's [`stream::try_scan`].
-pub(crate) fn try_scan<S, E, F>(
-    seq: &S,
-    zero: S::Item,
-    f: &F,
-) -> Result<(Forced<S::Item>, S::Item), E>
-where
-    S: Seq + ?Sized,
-    S::Item: Clone + Sync,
-    F: Fn(S::Item, S::Item) -> Result<S::Item, E> + Send + Sync,
-    E: Send,
-{
-    stream::try_scan(&stream::of_seq(seq), zero, f)
-}
 
 /// Fallible filter, materialized; see [`Seq::try_filter_collect`].
 /// Phase 1 is the core's [`stream::try_filter_parts`] packing loop;
@@ -64,68 +39,9 @@ where
     P: Fn(&S::Item) -> Result<bool, E> + Send + Sync,
     E: Send,
 {
-    let parts = stream::try_filter_parts(&stream::of_seq(seq), pred)?;
+    let parts = stream::try_filter_parts(seq, pred)?;
     let flat = Flattened::from_inners(parts.into_iter().map(Forced::from_vec).collect());
     Ok(flat.to_vec())
-}
-
-/// Fallible materialization for sequences of `Result`s; see
-/// [`TrySeqExt::try_to_vec`]. One instantiation of the core's
-/// [`stream::try_to_vec`].
-pub(crate) fn try_to_vec<S, T, E>(seq: &S) -> Result<Vec<T>, E>
-where
-    S: Seq<Item = Result<T, E>> + ?Sized,
-    T: Send,
-    E: Send,
-{
-    stream::try_to_vec(&stream::of_seq(seq))
-}
-
-/// Extra consumers for sequences whose *elements* are `Result`s —
-/// typically the output of a `map` with a fallible closure:
-///
-/// ```
-/// use bds_seq::prelude::*;
-/// use bds_seq::TrySeqExt;
-///
-/// let parsed = from_slice(&["4", "8", "15"])
-///     .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-///     .try_to_vec();
-/// assert_eq!(parsed, Ok(vec![4, 8, 15]));
-///
-/// let bad = from_slice(&["4", "x", "15"])
-///     .map(|s| s.parse::<u64>().map_err(|_| format!("bad: {s}")))
-///     .try_to_vec();
-/// assert_eq!(bad, Err("bad: x".to_string()));
-/// ```
-pub trait TrySeqExt<T, E>: Seq<Item = Result<T, E>>
-where
-    T: Send,
-    E: Send,
-{
-    /// Materialize into a `Vec`, short-circuiting on the first `Err` (in
-    /// block order): sibling blocks stop at their next block boundary
-    /// and already-produced elements are dropped.
-    fn try_to_vec(&self) -> Result<Vec<T>, E> {
-        try_to_vec(self)
-    }
-
-    /// Force into a materialized random-access sequence, short-
-    /// circuiting like [`TrySeqExt::try_to_vec`].
-    fn try_force(&self) -> Result<Forced<T>, E>
-    where
-        T: Clone + Sync,
-    {
-        self.try_to_vec().map(Forced::from_vec)
-    }
-}
-
-impl<S, T, E> TrySeqExt<T, E> for S
-where
-    S: Seq<Item = Result<T, E>> + ?Sized,
-    T: Send,
-    E: Send,
-{
 }
 
 #[cfg(test)]
@@ -191,29 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn try_scan_ok_matches_scan() {
-        let xs: Vec<u64> = (0..20_000).map(|i| (i * 31 + 7) % 997).collect();
-        let (got, total) = from_slice(&xs)
-            .try_scan(0, |a, b| Ok::<u64, ()>(a + b))
-            .unwrap();
-        let (want, want_total) = from_slice(&xs).scan(0, |a, b| a + b);
-        assert_eq!(got.to_vec(), want.to_vec());
-        assert_eq!(total, want_total);
-    }
-
-    #[test]
-    fn try_scan_propagates_error() {
-        let got = tabulate(10_000, |i| i as u64).try_scan(0, |a, b| {
-            if a > 1000 {
-                Err("overflowed 1000")
-            } else {
-                Ok(a + b)
-            }
-        });
-        assert_eq!(got.err(), Some("overflowed 1000"));
-    }
-
-    #[test]
     fn try_filter_collect_ok_matches_filter() {
         let xs: Vec<u64> = (0..30_000).map(|i| (i * 17) % 1000).collect();
         let got = from_slice(&xs)
@@ -233,45 +126,6 @@ mod tests {
             }
         });
         assert_eq!(got, Err("bad element"));
-    }
-
-    #[test]
-    fn try_to_vec_and_try_force() {
-        use crate::TrySeqExt;
-        let ok = tabulate(5_000, Ok::<usize, String>).try_to_vec();
-        assert_eq!(ok.as_deref(), Ok(&(0..5_000).collect::<Vec<_>>()[..]));
-
-        let forced = tabulate(100, |i| Ok::<usize, String>(i * 2))
-            .try_force()
-            .unwrap();
-        assert_eq!(forced.get(30), 60);
-
-        let bad = tabulate(5_000, |i| {
-            if i == 77 {
-                Err(format!("element {i}"))
-            } else {
-                Ok(i)
-            }
-        })
-        .try_to_vec();
-        assert_eq!(bad, Err("element 77".to_string()));
-    }
-
-    #[test]
-    fn try_to_vec_reported_error_is_a_real_failure() {
-        let _g = crate::policy::test_sync::test_force(32);
-        for _ in 0..10 {
-            let bad = tabulate(10_000, |i| {
-                if i % 1000 == 999 {
-                    Err(i)
-                } else {
-                    Ok(i)
-                }
-            })
-            .try_to_vec();
-            let e = bad.expect_err("some block must fail");
-            assert_eq!(e % 1000, 999, "reported {e}");
-        }
     }
 
     #[test]

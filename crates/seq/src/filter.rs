@@ -43,7 +43,7 @@ where
     U: Clone + Send + Sync,
     F: Fn(S::Item) -> Option<U> + Sync,
 {
-    let parts = stream::filter_parts(&stream::of_seq(input), f);
+    let parts = stream::filter_parts(input, f);
     Flattened::from_inners(parts.into_iter().map(Forced::from_vec).collect())
 }
 

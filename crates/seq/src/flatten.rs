@@ -77,34 +77,6 @@ impl<Inner: RadSeq> Flattened<Inner> {
     }
 }
 
-impl<Inner: RadSeq> Flattened<Inner>
-where
-    Inner::Item: Send + Sync,
-{
-    /// Reduce each inner sequence independently, in parallel across
-    /// inners: `out[p] = fold(zero, inners[p])`. This is the classic
-    /// *segmented reduce* (the shape of sparse matrix-vector products),
-    /// expressed directly on the flatten's segment structure — no
-    /// per-segment arrays are materialized.
-    pub fn segmented_reduce<F>(&self, zero: Inner::Item, combine: F) -> Vec<Inner::Item>
-    where
-        Inner::Item: Clone,
-        F: Fn(Inner::Item, Inner::Item) -> Inner::Item + Send + Sync,
-    {
-        let np = self.inners.len();
-        crate::util::build_vec(np, |pv| {
-            bds_pool::apply(np, |p| {
-                let inner = &self.inners[p];
-                let mut acc = zero.clone();
-                for k in 0..inner.len() {
-                    acc = combine(acc, inner.get(k));
-                }
-                pv.writer(p, p + 1).push(acc);
-            });
-        })
-    }
-}
-
 /// Block stream of [`Flattened`]: the paper's `getRegion` walk. Starts at
 /// a binary-searched (inner, within) position and streams `remaining`
 /// elements across adjacent inner sequences, skipping empties. A drive
@@ -316,48 +288,5 @@ mod tests {
         let f = Flattened::from_inners(inners(&[10]));
         assert_eq!(f.block(0, 4).size_hint(), (4, Some(4)));
         assert_eq!(f.block(2, 4).size_hint(), (2, Some(2)));
-    }
-}
-
-#[cfg(test)]
-mod segmented_tests {
-    use crate::prelude::*;
-    use crate::sources::Forced;
-    use crate::Flattened;
-
-    #[test]
-    fn segmented_reduce_per_inner_sums() {
-        let inners: Vec<Forced<u64>> = (0..100u64)
-            .map(|k| Forced::from_vec((0..k).collect()))
-            .collect();
-        let f = Flattened::from_inners(inners);
-        let sums = f.segmented_reduce(0, |a, b| a + b);
-        for (k, s) in sums.iter().enumerate() {
-            let k = k as u64;
-            assert_eq!(*s, k * k.saturating_sub(1) / 2, "segment {k}");
-        }
-    }
-
-    #[test]
-    fn segmented_reduce_with_delayed_inners() {
-        // Inners are tabulates: the segment fold streams through the
-        // delayed index functions without materializing.
-        let outer = tabulate(50, |k| tabulate(k + 1, move |i| (k * i) as u64));
-        let f = flatten(outer);
-        let maxes = f.segmented_reduce(0, u64::max);
-        for (k, m) in maxes.iter().enumerate() {
-            assert_eq!(*m, (k * k) as u64);
-        }
-    }
-
-    #[test]
-    fn segmented_reduce_empty_segments() {
-        let inners: Vec<Forced<u32>> = vec![
-            Forced::from_vec(vec![]),
-            Forced::from_vec(vec![5, 6]),
-            Forced::from_vec(vec![]),
-        ];
-        let f = Flattened::from_inners(inners);
-        assert_eq!(f.segmented_reduce(0, |a, b| a + b), vec![0, 11, 0]);
     }
 }

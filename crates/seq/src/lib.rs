@@ -78,12 +78,11 @@
 //!   and every element materialized so far is dropped exactly once —
 //!   all parallel buffer fills go through a drop-guard protocol that
 //!   tracks initialized segments through unwinding.
-//! * **Fallible consumers short-circuit.** [`Seq::try_reduce`],
-//!   [`Seq::try_scan`] and [`Seq::try_filter_collect`] take closures
-//!   returning `Result`; the first observed error cancels the remaining
-//!   blocks and is returned. For pipelines whose *elements* are already
-//!   `Result`s, [`TrySeqExt`] adds `try_to_vec` / `try_force`. See
-//!   [`fallible`] for the fine print on which error wins under races.
+//! * **Fallible consumers short-circuit.** [`Seq::try_reduce`] and
+//!   [`Seq::try_filter_collect`] take closures returning `Result`; the
+//!   first observed error cancels the remaining blocks and is returned.
+//!   See [`fallible`] for the fine print on which error wins under
+//!   races.
 //! * **Failures can be injected deterministically.** The [`faults`]
 //!   harness (behind the `fault-inject` feature; no-op stubs otherwise)
 //!   fires a panic or an `Err` at exactly the Nth instrumented closure
@@ -101,7 +100,6 @@ pub mod adaptors;
 pub mod counters;
 pub mod dynseq;
 pub mod erased;
-pub mod extra;
 pub mod fallible;
 pub mod faults;
 pub mod filter;
@@ -118,8 +116,6 @@ mod util;
 
 pub use adaptors::{map_with_index, Enumerate, Map, MapWithIndex, RevSeq, SkipSeq, TakeSeq, Zip, ZipWith};
 pub use erased::{BoxRad, BoxSeq, ErasedRadSeq, ErasedSeq};
-pub use extra::{all, any, append, max_by_key, min_by_key, unzip, Append};
-pub use fallible::TrySeqExt;
 pub use filter::Filtered;
 pub use flatten::{flatten, Flattened, RegionIter};
 pub use governed::{run_governed, Budget, Exceeded};
@@ -135,12 +131,10 @@ pub use profile::{profile, profile_on, ProfileReport, Stage, StageReport};
 pub use scan::{Scanned, ScannedIncl};
 pub use simd::{force_level, SimdLevel, SimdLevelGuard};
 pub use sources::{empty, from_slice, range, repeat, tabulate, Forced, FromSlice, Tabulate};
-pub use stream::IndexedStream;
 pub use traits::{RadBlock, RadSeq, Seq};
 
 /// Everything needed to write pipelines: the traits plus constructors.
 pub mod prelude {
-    pub use crate::fallible::TrySeqExt;
     pub use crate::flatten::flatten;
     pub use crate::sources::{empty, from_slice, range, repeat, tabulate};
     pub use crate::traits::{RadSeq, Seq};
@@ -369,18 +363,6 @@ mod tests {
         let max = forced.reduce(0, u64::max);
         assert_eq!(sum, (1..=10_000u64).sum::<u64>());
         assert_eq!(max, 10_000);
-    }
-
-    #[test]
-    fn for_each_indexed_covers_all() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let n = 4096;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        tabulate(n, |i| i).for_each_indexed(|i, x| {
-            assert_eq!(i, x);
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub enum Stage {
     Force,
     /// Delayed consumption by `reduce`.
     Reduce,
-    /// Delayed consumption by `for_each`/`for_each_indexed`.
+    /// Delayed consumption by `for_each`.
     ForEach,
     /// Delayed consumption by `count`.
     Count,

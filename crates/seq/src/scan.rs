@@ -12,6 +12,7 @@
 //! ([`Seq::fixed_block_size`]): every consumer of its output cuts it at
 //! that size, and block `j`'s phase 3 starts from seed `j`.
 
+use crate::stream;
 use crate::traits::Seq;
 
 /// The delayed result of an exclusive [`Seq::scan`]: element `i` is the
@@ -43,19 +44,6 @@ where
     f: F,
 }
 
-/// Run phases 1-2, shared by both scan flavors: one instantiation of
-/// the indexed-stream core's [`crate::stream::scan_seeds`] drive loop
-/// (per-block sums fused with the input's delayed work, then a
-/// sequential scan of the sums).
-fn block_seeds<S, F>(input: &S, zero: S::Item, f: &F) -> (usize, Vec<S::Item>, S::Item)
-where
-    S: Seq,
-    S::Item: Clone + Sync,
-    F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
-{
-    crate::stream::scan_seeds(&crate::stream::of_seq(input), zero, f)
-}
-
 /// Exclusive scan; see [`Seq::scan`].
 pub(crate) fn scan<S, F>(input: S, zero: S::Item, f: F) -> (Scanned<S, F>, S::Item)
 where
@@ -63,7 +51,7 @@ where
     S::Item: Clone + Sync,
     F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
 {
-    let (bs, seeds, total) = block_seeds(&input, zero, &f);
+    let (bs, seeds, total) = stream::scan_seeds(&input, zero, &f);
     (
         Scanned {
             input,
@@ -82,7 +70,7 @@ where
     S::Item: Clone + Sync,
     F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
 {
-    let (bs, seeds, _total) = block_seeds(&input, zero, &f);
+    let (bs, seeds, _total) = stream::scan_seeds(&input, zero, &f);
     ScannedIncl {
         input,
         bs,

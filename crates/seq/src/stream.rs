@@ -11,15 +11,21 @@
 //! *one* engine, in the spirit of indexed stream fusion, where every
 //! stream is driven from the consumer's index space:
 //!
-//! - [`IndexedStream`] is the minimal contract a representation must
-//!   offer: a length, a per-element cost, the block size an eager phase
-//!   fixed (if any), and the element stream of block `j` at a block
-//!   size the caller passes in.
-//! - The drive loops ([`reduce`], [`to_vec`], [`count`], [`for_each`],
-//!   [`filter_parts`], [`scan_seeds`], the `try_*` variants, …) own the
-//!   canonical consumption protocol, including the one geometry
-//!   decision per consumption ([`geometry`]). Every lowering —
-//!   monomorphized, erased, or dynamic — is a thin instantiation.
+//! - [`Seq`] is the one element contract a representation offers the
+//!   drive loops: a length, a per-element cost, the block size an eager
+//!   phase fixed (if any), the element stream of block `j` at a block
+//!   size the caller passes in ([`Seq::block`]), and the chunk fold
+//!   that consumes it ([`Seq::fold_chunk`]). The static adaptors, the
+//!   erased boxes and [`DSeq`](crate::dynseq::DSeq)'s BID view all
+//!   implement it.
+//! - The drive loops own the canonical consumption protocol, including
+//!   the one geometry decision per consumption ([`geometry`]). There are
+//!   eight: the paper's consumers [`reduce`], [`to_vec`] (which
+//!   `force` wraps) and [`for_each`] (`applySeq`), and the ones the
+//!   library's operations and workloads call, [`count`],
+//!   [`filter_parts`], [`scan_seeds`], [`try_reduce`] and
+//!   [`try_filter_parts`]. Every lowering — monomorphized, erased, or
+//!   dynamic — is a thin instantiation.
 //!
 //! # The canonical per-block protocol
 //!
@@ -47,9 +53,9 @@
 //!    exactly the block's length, a chunk of at most [`simd::CHUNK`]
 //!    elements at a time, polling for cancellation once per chunk
 //!    (below). The infallible loops hand each chunk to the stream's
-//!    [`IndexedStream::fold_chunk`], which runs it as one loop (below);
-//!    the fallible loops and [`any`], which may stop after any element,
-//!    pull it through `next()`. A block that runs dry early or yields
+//!    [`Seq::fold_chunk`], which runs it as one loop (below); the
+//!    fallible loops, which may stop after any element, pull it through
+//!    `next()`. A block that runs dry early or yields
 //!    past its end panics, and every block writes through a writer
 //!    bounded by its own region, whose push past the region's end
 //!    panics: that is what makes the disjoint parallel writes safe even
@@ -88,9 +94,8 @@
 //! `next` is an index step, but not a nested one: a `flatten` region
 //! re-checks its position on every element, and a filter's packing
 //! reloads its state per survivor. So the infallible loops push each
-//! chunk through [`IndexedStream::fold_chunk`] (for a [`Seq`],
-//! [`Seq::fold_chunk`]), one call per chunk, which the library's
-//! streams override with loops of their own:
+//! chunk through [`Seq::fold_chunk`], one call per chunk, which the
+//! library's streams override with loops of their own:
 //!
 //! - the leaves (tabulate, slices, [`crate::RadBlock`]) check once that
 //!   the block holds the chunk, then run a counted range or slice loop;
@@ -109,8 +114,8 @@
 //! [`Seq::fold_chunk`] is the counted pull, so an external sequence, the
 //! erased [`crate::erased::BoxSeq`]/[`crate::erased::BoxRad`] and the
 //! dynamic lowering's boxed streams behave as before; and the fallible
-//! loops and [`any`] keep pulling, since a fold cannot stop after an
-//! arbitrary element on stable Rust. Filter packing collects each
+//! loops keep pulling, since a fold cannot stop after an arbitrary
+//! element on stable Rust. Filter packing collects each
 //! chunk's survivors in a stack buffer and appends them to the block's
 //! array in one move.
 //!
@@ -119,13 +124,15 @@
 //! An interpreter whose stages are erased (`bds-plan` runs pipelines
 //! assembled at runtime) cannot afford an element iterator: every
 //! stage would cost a virtual call per element. A [`ChunkedStream`]
-//! instead produces each block a [`simd::CHUNK`] at a time, and its blocks
-//! may come up short when a stage inside them drops elements. The
-//! chunked drive loops ([`reduce_chunked`], [`count_chunked`],
-//! [`to_vec_chunked`], [`block_folds`]) run the same per-block
-//! protocol over the same block loops. A chunked stream already works a
-//! chunk at a time, so it polls itself: it ticks its own ticker once per
-//! chunk it produces (`tick_n`).
+//! instead produces each block a [`simd::CHUNK`] at a time, and its
+//! blocks may come up short when a stage inside them drops elements,
+//! which [`Seq`]'s exact-block invariant forbids. `bds-plan`'s executor
+//! is its one implementation. The chunked drive loops
+//! ([`reduce_chunked`], [`count_chunked`], [`to_vec_chunked`],
+//! [`block_folds`]) run the same per-block protocol over the same block
+//! loops. A chunked stream already works a chunk at a time, so it polls
+//! itself: it ticks its own ticker once per chunk it produces
+//! (`tick_n`).
 //!
 //! # SIMD drivers
 //!
@@ -135,7 +142,7 @@
 //! [`simd::CHUNK`] at a time, and the dispatched SIMD kernel is only
 //! what runs inside a chunk.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 use bds_cost::{ElemCost, SIMPLE};
 use bds_pool::PollTicker;
@@ -144,71 +151,13 @@ use crate::counters;
 use crate::policy;
 use crate::profile::{self, Stage};
 use crate::simd;
-use crate::sources::Forced;
 use crate::traits::Seq;
 use crate::util::{
     build_vec, charge_elems, chunk_space, scan_sequential, BlockWriter, ChunkBuf, PartialVec,
 };
 
-// ---------------------------------------------------------------------
-// The indexed-stream contract
-// ---------------------------------------------------------------------
-
-/// A block-granular indexed stream: the one interface every lowering
-/// exposes to the shared drive loops.
-///
-/// The contract mirrors the [`Seq`] block invariant: for the block size
-/// `bs` a drive loop solved (the fixed one, if any), block `j` yields
-/// exactly `min(bs, len - j*bs)` elements, in order, and the
-/// concatenation of all `ceil(len/bs)` blocks is the sequence. Block
-/// streams do not poll for cancellation: the drive loops consume each
-/// block a chunk at a time and poll once per chunk (see the module
-/// docs). A stream opts in to folding a chunk in one loop of its own by
-/// overriding [`fold_chunk`](Self::fold_chunk); one that does not is
-/// pulled through `next()`.
-pub trait IndexedStream: Sync {
-    /// Element type.
-    type Item: Send;
-    /// The stream of one block, borrowing the source.
-    type Block<'s>: Iterator<Item = Self::Item>
-    where
-        Self: 's;
-
-    /// Total number of elements.
-    fn len(&self) -> usize;
-
-    /// True when there are no elements.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The block size an eager phase fixed (an eager scan phase, a
-    /// [`DSeq`](crate::dynseq::DSeq) BID), or `None` when any works.
-    fn fixed_block_size(&self) -> Option<usize>;
-
-    /// Per-element cost of the stream's own delayed work.
-    fn elem_cost(&self) -> ElemCost;
-
-    /// The element stream of block `j` at block size `bs`.
-    fn stream_block(&self, j: usize, bs: usize) -> Self::Block<'_>;
-
-    /// Fold the next `n` elements of `block`, `n <= CHUNK`: the call the
-    /// infallible drive loops make once per chunk. The contract is
-    /// [`Seq::fold_chunk`]'s; the default is the counted pull, and
-    /// [`SeqStream`] forwards to the sequence's own. A stream opts in to
-    /// a tighter loop by overriding it.
-    #[inline]
-    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
-    where
-        Self: 's,
-        F: FnMut(A, Self::Item) -> A,
-    {
-        pull_chunk(block, n, init, f)
-    }
-}
-
 /// The counted pull of `n` elements of `it` into `f`: the default
-/// [`Seq::fold_chunk`] and [`IndexedStream::fold_chunk`].
+/// [`Seq::fold_chunk`].
 ///
 /// # Panics
 /// With "Seq invariant violated: block underflow" when `it` runs dry
@@ -241,50 +190,6 @@ pub(crate) fn chunk_range(next: &mut usize, end: usize, n: usize) -> std::ops::R
     assert!(n <= end - lo, "Seq invariant violated: block underflow");
     *next = lo + n;
     lo..lo + n
-}
-
-/// Monomorphized (and erased) instantiation: any [`Seq`] is an indexed
-/// stream. [`crate::erased::BoxSeq`] and [`crate::erased::BoxRad`]
-/// implement [`Seq`], so the erased lowering goes through this same
-/// wrapper — one engine, several front-ends.
-pub struct SeqStream<'a, S: Seq + ?Sized>(&'a S);
-
-/// View a [`Seq`] as an [`IndexedStream`] instantiation.
-pub fn of_seq<S: Seq + ?Sized>(s: &S) -> SeqStream<'_, S> {
-    SeqStream(s)
-}
-
-impl<'a, S: Seq + ?Sized> IndexedStream for SeqStream<'a, S> {
-    type Item = S::Item;
-    type Block<'s>
-        = S::Block<'s>
-    where
-        Self: 's;
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn fixed_block_size(&self) -> Option<usize> {
-        self.0.fixed_block_size()
-    }
-
-    fn elem_cost(&self) -> ElemCost {
-        self.0.elem_cost()
-    }
-
-    fn stream_block(&self, j: usize, bs: usize) -> Self::Block<'_> {
-        self.0.block(j, bs)
-    }
-
-    #[inline]
-    fn fold_chunk<'s, A, F>(block: &mut Self::Block<'s>, n: usize, init: A, f: F) -> A
-    where
-        Self: 's,
-        F: FnMut(A, Self::Item) -> A,
-    {
-        S::fold_chunk(block, n, init, f)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -333,7 +238,7 @@ pub fn geometry(len: usize, fixed: Option<usize>, per_elem: ElemCost) -> Geometr
     )
 }
 
-fn solve<S: IndexedStream + ?Sized>(s: &S, downstream: ElemCost) -> Geometry {
+fn solve<S: Seq + ?Sized>(s: &S, downstream: ElemCost) -> Geometry {
     geometry(s.len(), s.fixed_block_size(), s.elem_cost() + downstream)
 }
 
@@ -356,22 +261,22 @@ pub(crate) fn record(stage: Stage, g: Geometry) {
 /// often as a single source). The leaf streams hold no ticker.
 ///
 /// The infallible folds hand each chunk to the stream's
-/// [`IndexedStream::fold_chunk`], which runs it as one loop; the
-/// fallible ones (`try_fold`, and [`any`], which stops at a hit) pull
-/// it through `next()`, a counted loop that can stop after any element.
+/// [`Seq::fold_chunk`], which runs it as one loop; the fallible ones
+/// (`try_fold`) pull it through `next()`, a counted loop that can stop
+/// after any element.
 /// Both consume exactly the block's length, which checks the block
 /// invariant: a block that runs dry early panics (underflow), and one
 /// that still yields after its last element panics (overflow).
-struct Pull<'s, S: IndexedStream + ?Sized + 's> {
+struct Pull<'s, S: Seq + ?Sized + 's> {
     it: S::Block<'s>,
     left: usize,
     ticker: PollTicker,
 }
 
-fn pull<S: IndexedStream + ?Sized>(s: &S, g: Geometry, j: usize) -> Pull<'_, S> {
+fn pull<S: Seq + ?Sized>(s: &S, g: Geometry, j: usize) -> Pull<'_, S> {
     let (lo, hi) = block_bounds(g.len, g.bs, j);
     Pull {
-        it: s.stream_block(j, g.bs),
+        it: s.block(j, g.bs),
         left: hi - lo,
         ticker: PollTicker::new(),
     }
@@ -386,7 +291,7 @@ fn yields<I: Iterator>(it: &mut I) -> bool {
     it.next().is_some()
 }
 
-impl<'s, S: IndexedStream + ?Sized + 's> Pull<'s, S> {
+impl<'s, S: Seq + ?Sized + 's> Pull<'s, S> {
     #[inline]
     fn next_elem(&mut self) -> S::Item {
         self.it
@@ -421,8 +326,7 @@ impl<'s, S: IndexedStream + ?Sized + 's> Pull<'s, S> {
         acc
     }
 
-    /// Fold the rest of the block, one [`IndexedStream::fold_chunk`]
-    /// per chunk.
+    /// Fold the rest of the block, one [`Seq::fold_chunk`] per chunk.
     #[inline]
     fn fold<A>(self, init: A, mut f: impl FnMut(A, S::Item) -> A) -> A {
         self.fold_chunks(init, |acc, it, c| S::fold_chunk(it, c, acc, &mut f))
@@ -435,7 +339,7 @@ impl<'s, S: IndexedStream + ?Sized + 's> Pull<'s, S> {
     }
 
     /// Fold the block seeded by its first element (reduce, scan phase
-    /// 1, `max_by_key`). The seed counts as a chunk of one, so the block
+    /// 1). The seed counts as a chunk of one, so the block
     /// still polls once per `CHUNK` elements.
     #[inline]
     fn fold_first(mut self, f: impl FnMut(S::Item, S::Item) -> S::Item) -> S::Item {
@@ -496,10 +400,10 @@ impl<'s, S: IndexedStream + ?Sized + 's> Pull<'s, S> {
 /// [`bds_pool::RetryPolicy`] (see the legality table in DESIGN.md).
 fn visit_blocks<S, F>(s: &S, g: Geometry, f: F)
 where
-    S: IndexedStream + ?Sized,
-    F: Fn(usize, Pull<'_, S>) + Send + Sync,
+    S: Seq + ?Sized,
+    F: Fn(Pull<'_, S>) + Send + Sync,
 {
-    bds_pool::apply(g.nb, |j| f(j, pull(s, g, j)));
+    bds_pool::apply(g.nb, |j| f(pull(s, g, j)));
 }
 
 /// One output per block: stream block `j` through `f` and collect the
@@ -507,7 +411,7 @@ where
 /// seeds, and filter packing).
 fn per_block<S, T, F>(s: &S, g: Geometry, f: F) -> Vec<T>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     T: Send,
     F: Fn(Pull<'_, S>) -> T + Send + Sync,
 {
@@ -538,7 +442,7 @@ where
 /// block index's error is reported.
 fn try_per_block<S, T, E, F>(s: &S, g: Geometry, f: F) -> Result<Vec<T>, E>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     T: Send,
     E: Send,
     F: Fn(Pull<'_, S>) -> Result<T, E> + Send + Sync,
@@ -605,30 +509,6 @@ fn check_filled<T: Send>(w: &BlockWriter<'_, T>, lo: usize, hi: usize) {
     );
 }
 
-/// Fallible materialization through a per-element map: the shape of
-/// `try_to_vec` (where `f` unwraps `Result` elements).
-fn try_materialize_with<S, T, E, F>(s: &S, g: Geometry, f: F) -> Result<Vec<T>, E>
-where
-    S: IndexedStream + ?Sized,
-    T: Send,
-    E: Send,
-    F: Fn(S::Item) -> Result<T, E> + Send + Sync,
-{
-    let pv = PartialVec::new(g.len);
-    bds_pool::apply_cancellable(g.nb, |j| {
-        bds_pool::recover_block(j, || {
-            // The counted pull writes exactly the block's length.
-            let (lo, hi) = block_bounds(g.len, g.bs, j);
-            let mut w = pv.writer(lo, hi);
-            pull(s, g, j).try_fold((), |(), x| {
-                w.push(f(x)?);
-                Ok(())
-            })
-        })
-    })?;
-    Ok(pv.finish())
-}
-
 // ---------------------------------------------------------------------
 // Infallible drive loops
 // ---------------------------------------------------------------------
@@ -639,7 +519,7 @@ where
 /// must be associative.
 pub fn reduce<S, F>(s: &S, zero: S::Item, combine: &F) -> S::Item
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
 {
     if s.is_empty() {
@@ -658,37 +538,19 @@ where
 /// Figure 9 lines 5-8).
 pub fn for_each<S, F>(s: &S, f: &F)
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     F: Fn(S::Item) + Send + Sync,
 {
     let _span = profile::span(Stage::ForEach);
     let g = solve(s, SIMPLE);
     record(Stage::ForEach, g);
-    visit_blocks(s, g, |_, p| p.for_each(f));
-}
-
-/// Apply `f(i, x)` to every element with its global index.
-pub fn for_each_indexed<S, F>(s: &S, f: &F)
-where
-    S: IndexedStream + ?Sized,
-    F: Fn(usize, S::Item) + Send + Sync,
-{
-    let _span = profile::span(Stage::ForEach);
-    let g = solve(s, SIMPLE);
-    record(Stage::ForEach, g);
-    visit_blocks(s, g, |j, p| {
-        let (lo, _) = block_bounds(g.len, g.bs, j);
-        p.fold(lo, |i, x| {
-            f(i, x);
-            i + 1
-        });
-    });
+    visit_blocks(s, g, |p| p.for_each(f));
 }
 
 /// Materialize into a `Vec` (`toArray`, Figure 9 lines 9-14).
 pub fn to_vec<S>(s: &S) -> Vec<S::Item>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
 {
     let _span = profile::span(Stage::Force);
     // One write + one slot of fresh allocation per element.
@@ -702,7 +564,7 @@ where
 /// Count the elements satisfying `pred`, two-phase like [`reduce`].
 pub fn count<S, P>(s: &S, pred: &P) -> usize
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     P: Fn(&S::Item) -> bool + Send + Sync,
 {
     if s.is_empty() {
@@ -719,7 +581,8 @@ where
 /// (Figure 10, lines 48-53): stream each block through `keep` (`Some`
 /// keeps an element) into a small dense array, charging each block's
 /// survivors against the ambient memory budget. The caller flattens the
-/// parts (the static lowering wraps each in a [`Forced`];
+/// parts (the static lowering wraps each in a
+/// [`Forced`](crate::sources::Forced);
 /// [`crate::dynseq::DSeq`] feeds them to `flatten_parts`).
 ///
 /// Each chunk's survivors collect in a stack buffer and join the block's
@@ -727,7 +590,7 @@ where
 /// too large for the buffer are pushed one at a time.
 pub fn filter_parts<S, U, K>(s: &S, keep: &K) -> Vec<Vec<U>>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     U: Send,
     K: Fn(S::Item) -> Option<U> + Sync,
 {
@@ -760,7 +623,7 @@ where
 #[inline]
 fn pack_buffered<S, U, K>(p: Pull<'_, S>, keep: &K, kept: &mut Vec<U>)
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     K: Fn(S::Item) -> Option<U>,
 {
     let mut space = chunk_space();
@@ -782,7 +645,7 @@ where
 /// total.
 pub fn scan_seeds<S, F>(s: &S, zero: S::Item, f: &F) -> (usize, Vec<S::Item>, S::Item)
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     S::Item: Clone + Sync,
     F: Fn(S::Item, S::Item) -> S::Item + Send + Sync,
 {
@@ -799,83 +662,6 @@ where
     (g.bs, seeds, total)
 }
 
-/// Does any element satisfy `pred`? Blocks short-circuit against a
-/// shared flag (each checks it between elements), so a hit found
-/// anywhere stops the remaining streams early.
-///
-/// A pure consumer like [`count`]: setting the flag is idempotent, so a
-/// block that faults is retried under a [`bds_pool::RetryPolicy`].
-pub fn any<S, P>(s: &S, pred: &P) -> bool
-where
-    S: IndexedStream + ?Sized,
-    P: Fn(&S::Item) -> bool + Send + Sync,
-{
-    // One predicate application (and a flag check) per element.
-    let g = solve(s, SIMPLE);
-    let found = AtomicBool::new(false);
-    bds_pool::apply(g.nb, |j| {
-        bds_pool::recover_block(j, || {
-            // `Err` stops this block's pull early.
-            let _ = pull(s, g, j).try_fold((), |(), x| {
-                if found.load(Ordering::Relaxed) {
-                    return Err(());
-                }
-                if pred(&x) {
-                    found.store(true, Ordering::Relaxed);
-                    return Err(());
-                }
-                Ok(())
-            });
-        })
-    });
-    found.load(Ordering::Relaxed)
-}
-
-/// The maximum element by `key`, or `None` when empty. Ties keep the
-/// earliest element, so the result does not depend on the geometry.
-pub fn max_by_key<S, K, F>(s: &S, key: &F) -> Option<S::Item>
-where
-    S: IndexedStream + ?Sized,
-    K: PartialOrd,
-    F: Fn(&S::Item) -> K + Send + Sync,
-{
-    if s.is_empty() {
-        return None;
-    }
-    // Two key evaluations + a comparison per element.
-    let g = solve(s, ElemCost { w: 2, s: 2, a: 0 });
-    let better = |a: S::Item, b: S::Item| if key(&b) > key(&a) { b } else { a };
-    let champs = per_block(s, g, |p| p.fold_first(better));
-    champs.into_iter().reduce(better)
-}
-
-/// Split a stream of pairs into two fresh buffers in one pass.
-pub fn unzip<S, A, B>(s: &S) -> (Vec<A>, Vec<B>)
-where
-    S: IndexedStream<Item = (A, B)> + ?Sized,
-    A: Send,
-    B: Send,
-{
-    // Two writes + two slots of fresh allocation per element.
-    let g = solve(s, ElemCost { w: 2, s: 2, a: 2 });
-    let (pa, pb) = (PartialVec::new(g.len), PartialVec::new(g.len));
-    bds_pool::apply(g.nb, |j| {
-        // Retry-safe as in `materialize`: both writers discard their
-        // partial prefixes on unwind, and are bounded like its writer.
-        // They are pushed in step, so checking one checks both.
-        bds_pool::recover_block(j, || {
-            let (lo, hi) = block_bounds(g.len, g.bs, j);
-            let (mut wa, mut wb) = (pa.writer(lo, hi), pb.writer(lo, hi));
-            pull(s, g, j).for_each(|(x, y)| {
-                wa.push(x);
-                wb.push(y);
-            });
-            check_filled(&wa, lo, hi);
-        });
-    });
-    (pa.finish(), pb.finish())
-}
-
 // ---------------------------------------------------------------------
 // Fallible drive loops
 // ---------------------------------------------------------------------
@@ -885,7 +671,7 @@ where
 /// real panic beats an `Err`), phase 2 is a sequential fallible fold.
 pub fn try_reduce<S, E, F>(s: &S, zero: S::Item, f: &F) -> Result<S::Item, E>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     E: Send,
     F: Fn(S::Item, S::Item) -> Result<S::Item, E> + Send + Sync,
 {
@@ -902,58 +688,13 @@ where
     Ok(acc)
 }
 
-/// Fallible eager exclusive scan: phases 1 and 3 run cancellably in
-/// parallel, phase 2 sequentially. Eager (unlike the infallible scan,
-/// which delays phase 3): a delayed fallible phase 3 would surface
-/// errors at an arbitrary later consumer.
-pub fn try_scan<S, E, F>(s: &S, zero: S::Item, f: &F) -> Result<(Forced<S::Item>, S::Item), E>
-where
-    S: IndexedStream + ?Sized,
-    S::Item: Clone + Sync,
-    E: Send,
-    F: Fn(S::Item, S::Item) -> Result<S::Item, E> + Send + Sync,
-{
-    if s.is_empty() {
-        return Ok((Forced::from_vec(Vec::new()), zero));
-    }
-    // Combine in phase 1 plus a clone + write in phase 3, per element.
-    let g = solve(s, ElemCost { w: 2, s: 2, a: 1 });
-    // Phase 1: per-block sums (fused with the input's delayed work).
-    let sums = try_per_block(s, g, |p| p.try_fold_first(f))?;
-    // Phase 2: sequential fallible scan of the block sums.
-    counters::count_reads(g.nb);
-    let mut seeds = Vec::with_capacity(g.nb);
-    let mut acc = zero;
-    for x in sums {
-        seeds.push(acc.clone());
-        acc = f(acc, x)?;
-    }
-    let total = acc;
-    // Phase 3: per-block exclusive rescans seeded by the offsets.
-    let out_pv = PartialVec::new(g.len);
-    bds_pool::apply_cancellable(g.nb, |j| {
-        // Retry-safe: the seed is re-read and the region re-written
-        // from scratch, so a retried rescan is bit-identical.
-        bds_pool::recover_block(j, || {
-            let (lo, hi) = block_bounds(g.len, g.bs, j);
-            let mut w = out_pv.writer(lo, hi);
-            pull(s, g, j).try_fold(seeds[j].clone(), |acc, x| {
-                w.push(acc.clone());
-                f(acc, x)
-            })?;
-            Ok(())
-        })
-    })?;
-    Ok((Forced::from_vec(out_pv.finish()), total))
-}
-
 /// Fallible blockwise survivor packing: the eager phase of
 /// `try_filter_collect`, short-circuiting on the first predicate
 /// failure. Returns the raw per-block survivor vectors; the caller
 /// concatenates them.
 pub fn try_filter_parts<S, E, P>(s: &S, pred: &P) -> Result<Vec<Vec<S::Item>>, E>
 where
-    S: IndexedStream + ?Sized,
+    S: Seq + ?Sized,
     S::Item: Clone + Sync,
     E: Send,
     P: Fn(&S::Item) -> Result<bool, E> + Send + Sync,
@@ -974,37 +715,22 @@ where
     })
 }
 
-/// Fallible materialization for streams of `Result`s: unwrap every
-/// element into one fresh buffer, short-circuiting on the first `Err`
-/// in block order.
-pub fn try_to_vec<S, T, E>(s: &S) -> Result<Vec<T>, E>
-where
-    S: IndexedStream<Item = Result<T, E>> + ?Sized,
-    T: Send,
-    E: Send,
-{
-    // One unwrap + write into the fresh buffer per element.
-    let g = solve(s, ElemCost { w: 1, s: 1, a: 1 });
-    try_materialize_with(s, g, |x| x)
-}
-
 // ---------------------------------------------------------------------
 // Chunked streams
 // ---------------------------------------------------------------------
 
 /// A block-granular stream that produces each block a chunk at a time.
 ///
-/// Geometry works as for [`IndexedStream`]: block `j` covers
+/// Geometry works as for a [`Seq`]: block `j` covers
 /// `block_bounds(g.len, g.bs, j)` of an index space of [`len`](Self::len)
 /// positions, and a stream whose passes must agree on their block
 /// seams (a seed pass and the pass it seeds) reports the size they
 /// share through [`fixed_block_size`](Self::fixed_block_size). Unlike
-/// an `IndexedStream`, a block may yield *fewer*
-/// elements than its range when a stage inside it drops elements;
-/// [`exact`](Self::exact) says whether that can happen. Unlike an
-/// indexed stream's blocks, which the drive loops poll for, each chunked
-/// block ticks its own [`bds_pool::PollTicker`] once per chunk it
-/// produces.
+/// a `Seq`'s, a block may yield *fewer* elements than its range when a
+/// stage inside it drops elements; [`exact`](Self::exact) says whether
+/// that can happen. And unlike a `Seq`'s blocks, which the drive loops
+/// poll for, each chunked block ticks its own [`bds_pool::PollTicker`]
+/// once per chunk it produces.
 pub trait ChunkedStream: Sync {
     /// Element type.
     type Item: Send;
@@ -1021,10 +747,10 @@ pub trait ChunkedStream: Sync {
     /// Whether every block yields exactly its index range.
     fn exact(&self) -> bool;
 
-    /// See [`IndexedStream::fixed_block_size`].
+    /// See [`Seq::fixed_block_size`].
     fn fixed_block_size(&self) -> Option<usize>;
 
-    /// See [`IndexedStream::elem_cost`].
+    /// See [`Seq::elem_cost`].
     fn elem_cost(&self) -> ElemCost;
 
     /// Stream block `j` of `g` into `sink`, in order, in chunks of at
@@ -1116,8 +842,9 @@ where
 /// [`to_vec`] over a chunked stream. Exact streams write every block
 /// straight into its slot of one buffer; short blocks are packed first
 /// (each chunk charged before it is kept, as [`filter_parts`] charges
-/// survivors), and several packed blocks are then concatenated into one
-/// charged buffer.
+/// survivors), and several packed blocks are then moved into one
+/// charged buffer in parallel, each at the offset its predecessors'
+/// lengths sum to.
 pub fn to_vec_chunked<S>(s: &S) -> Vec<S::Item>
 where
     S: ChunkedStream + ?Sized,
@@ -1150,10 +877,15 @@ where
     if parts.len() == 1 {
         return parts.pop().expect("one part");
     }
-    let total = parts.iter().map(Vec::len).sum();
-    build_vec(total, |pv| {
-        let mut w = pv.writer(0, total);
-        for x in parts.into_iter().flatten() {
+    let lens: Vec<usize> = parts.iter().map(Vec::len).collect();
+    let (offsets, total) = scan_sequential(&lens, 0, &|a, b| a + b);
+    // Each block moves its own part out, once. The move runs no user
+    // code, so a block has no fault to retry.
+    let parts: Vec<Mutex<Vec<S::Item>>> = parts.into_iter().map(Mutex::new).collect();
+    let range = |j: usize| (offsets[j], offsets[j] + lens[j]);
+    materialize_ranges(total, parts.len(), range, |j, w| {
+        let part = std::mem::take(&mut *parts[j].lock().expect("a part's lock guards one take"));
+        for x in part {
             w.push(x);
         }
     })
@@ -1168,11 +900,11 @@ mod tests {
     fn seq_stream_drives_all_consumers() {
         let _g = crate::policy::test_sync::test_force(16);
         let s = tabulate(100, |i| i as u64);
-        let v = to_vec(&of_seq(&s));
+        let v = to_vec(&s);
         assert_eq!(v, (0..100).collect::<Vec<u64>>());
-        assert_eq!(reduce(&of_seq(&s), 0, &|a, b| a + b), 4950);
-        assert_eq!(count(&of_seq(&s), &|&x| x % 2 == 0), 50);
-        let parts = filter_parts(&of_seq(&s), &|x| (x < 10).then_some(x));
+        assert_eq!(reduce(&s, 0, &|a, b| a + b), 4950);
+        assert_eq!(count(&s, &|&x| x % 2 == 0), 50);
+        let parts = filter_parts(&s, &|x| (x < 10).then_some(x));
         let survivors: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(survivors, 10);
     }
@@ -1181,31 +913,19 @@ mod tests {
     fn empty_streams_take_the_trivial_paths() {
         let _l = crate::policy::test_sync::test_lock();
         let s = tabulate(0, |i| i as u64);
-        assert_eq!(reduce(&of_seq(&s), 7, &|a, b| a + b), 7);
-        assert_eq!(count(&of_seq(&s), &|_| true), 0);
-        assert!(to_vec(&of_seq(&s)).is_empty());
-        let (_, seeds, total) = scan_seeds(&of_seq(&s), 3, &|a, b| a + b);
+        assert_eq!(reduce(&s, 7, &|a, b| a + b), 7);
+        assert_eq!(count(&s, &|_| true), 0);
+        assert!(to_vec(&s).is_empty());
+        let (_, seeds, total) = scan_seeds(&s, 3, &|a, b| a + b);
         assert!(seeds.is_empty());
         assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn for_each_indexed_sees_global_indices() {
-        let _g = crate::policy::test_sync::test_force(8);
-        let s = tabulate(40, |i| i as u64 * 3);
-        let hits = std::sync::atomic::AtomicU64::new(0);
-        for_each_indexed(&of_seq(&s), &|i, x| {
-            assert_eq!(x, i as u64 * 3);
-            hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 40);
     }
 
     #[test]
     fn scan_seeds_match_sequential_prefix_sums() {
         let _g = crate::policy::test_sync::test_force(16);
         let s = tabulate(100, |_| 1u64);
-        let (bs, seeds, total) = scan_seeds(&of_seq(&s), 0, &|a, b| a + b);
+        let (bs, seeds, total) = scan_seeds(&s, 0, &|a, b| a + b);
         assert_eq!((bs, total), (16, 100));
         assert_eq!(seeds, (0..7).map(|j| j * 16).collect::<Vec<u64>>());
     }
@@ -1214,9 +934,9 @@ mod tests {
     fn try_loops_short_circuit_and_agree_with_infallible() {
         let _g = crate::policy::test_sync::test_force(32);
         let s = tabulate(1000, |i| i as u64);
-        let ok: Result<u64, ()> = try_reduce(&of_seq(&s), 0, &|a, b| Ok(a + b));
+        let ok: Result<u64, ()> = try_reduce(&s, 0, &|a, b| Ok(a + b));
         assert_eq!(ok, Ok(499_500));
-        let err = try_reduce(&of_seq(&s), 0, &|a, b| {
+        let err = try_reduce(&s, 0, &|a, b| {
             if b == 777 {
                 Err("hit")
             } else {
@@ -1224,7 +944,7 @@ mod tests {
             }
         });
         assert_eq!(err, Err("hit"));
-        let parts = try_filter_parts(&of_seq(&s), &|&x| Ok::<bool, ()>(x < 5)).unwrap();
+        let parts = try_filter_parts(&s, &|&x| Ok::<bool, ()>(x < 5)).unwrap();
         assert_eq!(parts.concat(), vec![0, 1, 2, 3, 4]);
     }
 

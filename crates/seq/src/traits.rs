@@ -80,9 +80,9 @@ pub trait Seq: Send + Sync {
     /// Fold the next `n` elements of `block` into `init` through `f`,
     /// in order, where `n` is at most [`crate::simd::CHUNK`]. The
     /// infallible consumers in [`crate::stream`] (reduce, `to_vec`,
-    /// count, `for_each`, filter packing, scan seeds, ...) consume a
-    /// block by one call per chunk; the fallible ones, and
-    /// [`Seq::any`], pull it through `next()`.
+    /// count, `for_each`, filter packing, scan seeds) consume a block
+    /// by one call per chunk; the fallible ones pull it through
+    /// `next()`.
     ///
     /// The default is that counted pull: `n` calls to `next()`. A
     /// sequence whose block can walk a chunk in a tighter loop
@@ -240,7 +240,7 @@ pub trait Seq: Send + Sync {
     where
         F: Fn(Self::Item, Self::Item) -> Self::Item + Send + Sync,
     {
-        stream::reduce(&stream::of_seq(self), zero, &combine)
+        stream::reduce(self, zero, &combine)
     }
 
     /// Apply `f` to every element, in parallel across blocks (the paper's
@@ -249,22 +249,14 @@ pub trait Seq: Send + Sync {
     where
         F: Fn(Self::Item) + Send + Sync,
     {
-        stream::for_each(&stream::of_seq(self), &f)
-    }
-
-    /// Apply `f(i, x)` to every element with its index.
-    fn for_each_indexed<F>(&self, f: F)
-    where
-        F: Fn(usize, Self::Item) + Send + Sync,
-    {
-        stream::for_each_indexed(&stream::of_seq(self), &f)
+        stream::for_each(self, &f)
     }
 
     /// Materialize into a `Vec` (the paper's `toArray`, Figure 9 lines
     /// 9-14): one fused parallel traversal writing each block into its
     /// slot of a fresh buffer.
     fn to_vec(&self) -> Vec<Self::Item> {
-        stream::to_vec(&stream::of_seq(self))
+        stream::to_vec(self)
     }
 
     /// Force all delayed computation into a materialized random-access
@@ -372,25 +364,7 @@ pub trait Seq: Send + Sync {
         F: Fn(Self::Item, Self::Item) -> Result<Self::Item, E> + Send + Sync,
         E: Send,
     {
-        crate::fallible::try_reduce(self, zero, &combine)
-    }
-
-    /// Fallible exclusive scan. Unlike [`Seq::scan`], the result is
-    /// fully materialized (an eager phase 3): delaying it would surface
-    /// `combine` errors at an arbitrary later consumer instead of here.
-    /// Returns the scanned sequence and the total, or the error from
-    /// the lowest failing block.
-    fn try_scan<E, F>(
-        &self,
-        zero: Self::Item,
-        combine: F,
-    ) -> Result<(Forced<Self::Item>, Self::Item), E>
-    where
-        Self::Item: Clone + Sync,
-        F: Fn(Self::Item, Self::Item) -> Result<Self::Item, E> + Send + Sync,
-        E: Send,
-    {
-        crate::fallible::try_scan(self, zero, &combine)
+        stream::try_reduce(self, zero, &combine)
     }
 
     /// Fallible filter, materialized into a `Vec`. The first predicate
@@ -406,7 +380,7 @@ pub trait Seq: Send + Sync {
     }
 
     // ------------------------------------------------------------------
-    // Convenience folds.
+    // Counting.
     // ------------------------------------------------------------------
 
     /// Count elements satisfying `pred` without materializing anything.
@@ -414,49 +388,7 @@ pub trait Seq: Send + Sync {
     where
         P: Fn(&Self::Item) -> bool + Send + Sync,
     {
-        stream::count(&stream::of_seq(self), &pred)
-    }
-
-    /// Does any element satisfy `pred`? Short-circuits across blocks.
-    fn any<P>(&self, pred: P) -> bool
-    where
-        Self: Sized,
-        P: Fn(&Self::Item) -> bool + Send + Sync,
-    {
-        crate::extra::any(self, pred)
-    }
-
-    /// Do all elements satisfy `pred`? Short-circuits across blocks.
-    fn all<P>(&self, pred: P) -> bool
-    where
-        Self: Sized,
-        P: Fn(&Self::Item) -> bool + Send + Sync,
-    {
-        crate::extra::all(self, pred)
-    }
-
-    /// The maximum element under a key function (earliest wins ties), or
-    /// `None` when empty. One fused pass.
-    fn max_by_key<K, F>(&self, key: F) -> Option<Self::Item>
-    where
-        Self: Sized,
-        Self::Item: Clone + Sync,
-        K: PartialOrd + Send,
-        F: Fn(&Self::Item) -> K + Send + Sync,
-    {
-        crate::extra::max_by_key(self, key)
-    }
-
-    /// The minimum element under a key function; see
-    /// [`Seq::max_by_key`].
-    fn min_by_key<K, F>(&self, key: F) -> Option<Self::Item>
-    where
-        Self: Sized,
-        Self::Item: Clone + Sync,
-        K: PartialOrd + Send,
-        F: Fn(&Self::Item) -> K + Send + Sync,
-    {
-        crate::extra::min_by_key(self, key)
+        stream::count(self, &pred)
     }
 }
 

@@ -15,7 +15,7 @@ use std::sync::Mutex;
 
 use bds_seq::prelude::*;
 use bds_seq::simd::CHUNK;
-use bds_seq::{append, map_with_index, Flattened, Forced};
+use bds_seq::{map_with_index, Flattened, Forced};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,10 +139,6 @@ fn leaves_fold_like_their_next() {
         check_sizes("take", &tabulate(N + 50, |i| i as u64).take(N));
         check_sizes("skip", &tabulate(N + 50, |i| i as u64).skip(50));
         check_sizes("rev", &from_slice(&xs).rev());
-        check_sizes(
-            "append",
-            &append(tabulate(1000, |i| i as u64), from_slice(&xs[1000..])),
-        );
         check_sizes("borrowed", &&from_slice(&xs));
     });
 }

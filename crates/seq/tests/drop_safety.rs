@@ -132,35 +132,6 @@ fn force_panic_drops_partials_exactly_once() {
 }
 
 #[test]
-fn unzip_success_and_panic_account_both_buffers() {
-    let _l = lock();
-    let _g = bds_seq::force_block_size(64);
-
-    reset_counters();
-    {
-        let s = tabulate(N, |i| (Tok::new(i as u64), Tok::new((i * 2) as u64)));
-        let (a, b) = bds_seq::unzip(&s);
-        assert_eq!(a.len(), N);
-        assert_eq!(b.len(), N);
-    }
-    assert_exact_drops("unzip/success");
-    assert_eq!(CREATED.load(Ordering::SeqCst), 2 * N as u64);
-
-    reset_counters();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let s = tabulate(N, |i| {
-            if i == 500 {
-                panic!("boom at 500");
-            }
-            (Tok::new(i as u64), Tok::new((i * 2) as u64))
-        });
-        bds_seq::unzip(&s)
-    }));
-    assert!(caught.is_err(), "panic must propagate");
-    assert_exact_drops("unzip/panic");
-}
-
-#[test]
 fn filter_panic_drops_kept_elements_exactly_once() {
     let _l = lock();
     let _g = bds_seq::force_block_size(64);
@@ -398,18 +369,6 @@ fn skewed_chunk_folds_panic_and_drop_each_element_once() {
         }));
         assert_block_invariant_panic(caught.map(drop), want, &format!("to_vec, skew {skew}"));
         assert_each_serial_dropped_once(&format!("to_vec/skew {skew}"));
-
-        reset_serials();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let s = Skewed {
-                len: N,
-                f: |_| (Serial::new(), Serial::new()),
-                skew,
-            };
-            bds_seq::unzip(&s)
-        }));
-        assert_block_invariant_panic(caught.map(drop), want, &format!("unzip, skew {skew}"));
-        assert_each_serial_dropped_once(&format!("unzip/skew {skew}"));
     }
     std::panic::set_hook(prev);
 }

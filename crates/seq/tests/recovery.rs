@@ -242,39 +242,31 @@ fn retried_blocks_keep_drop_accounting_exact() {
     assert_exact_drops("retry/quarantine");
 }
 
-/// The pure consumers that share the stream core's block loops —
-/// quantifiers, extrema and unzip, like `count` — retry one faulted
-/// block under the default policy and answer as if unfaulted.
+/// `count`, a pure consumer that shares the stream core's per-block
+/// loop with `reduce`, retries one faulted block under the default
+/// policy and answers as if unfaulted.
 #[test]
 fn pure_consumers_retry_a_transient_fault() {
     let _l = lock();
     let _q = Quiet::install();
     let _g = bds_seq::force_block_size(64);
     let pool = Pool::new_seeded(2, 0xB10C_F41C);
-    let oracle_max = (N as u64 - 1) * 3 + 1;
 
-    type Consumer = fn() -> u64;
-    let consumers: [(&str, Consumer); 5] = [
-        ("count", || tabulate(N, elem).count(|&x| x % 2 == 0) as u64),
-        // No element matches, so every block streams to its end.
-        ("any", || tabulate(N, elem).any(|&x| x == 0) as u64),
-        ("all", || tabulate(N, elem).all(|&x| x % 3 == 1) as u64),
-        ("max_by_key", || tabulate(N, elem).max_by_key(|&x| x).unwrap()),
-        ("unzip", || {
-            let (a, _b) = bds_seq::unzip(&tabulate(N, |i| (elem(i), i)));
-            *a.last().unwrap()
-        }),
-    ];
-    let want = [N as u64 / 2, 0, 1, oracle_max, oracle_max];
-    for ((name, f), want) in consumers.into_iter().zip(want) {
-        arm(1);
-        let before = recovery_counts();
-        let got = pool.install(|| run_recovered(RetryPolicy::default(), f));
-        let d = recovery_counts().saturating_sub(&before);
-        assert_eq!(got, Ok(want), "{name}: recovered answer");
-        assert_eq!(d.block_retries, 1, "{name}: exactly one block retry");
-        assert_eq!(TARGET_CALLS.load(Ordering::SeqCst), 2, "{name}: one re-streamed block");
-    }
+    arm(1);
+    let before = recovery_counts();
+    let got = pool.install(|| {
+        run_recovered(RetryPolicy::default(), || {
+            tabulate(N, elem).count(|&x| x % 2 == 0)
+        })
+    });
+    let d = recovery_counts().saturating_sub(&before);
+    assert_eq!(got, Ok(N / 2), "count: recovered answer");
+    assert_eq!(d.block_retries, 1, "count: exactly one block retry");
+    assert_eq!(
+        TARGET_CALLS.load(Ordering::SeqCst),
+        2,
+        "count: one re-streamed block"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -11,8 +11,8 @@
 //! * **panic**: the closure panics with the `"injected fault"` payload,
 //!   which must resurface at the consumer's join point;
 //! * **Err**: the closure returns an error through the fallible
-//!   consumers (`try_reduce`, `try_scan`, `try_filter_collect`,
-//!   `try_to_vec`), which must short-circuit to exactly that error.
+//!   consumers (`try_reduce`, `try_filter_collect`), which must
+//!   short-circuit to exactly that error.
 //!
 //! After every injected run the element type's global live count must
 //! be zero (nothing leaked, nothing double-dropped) and the run must
@@ -190,22 +190,6 @@ fn sweep_map_panic() {
     });
 }
 
-#[test]
-fn sweep_map_err() {
-    let _l = lock();
-    let _g = bds_seq::force_block_size(64);
-    sweep("map/err", Mode::Err, &|expect_fault| {
-        let r = tabulate(N, |i| Tok::new(i as u64))
-            .map(|t| if faults::poll() { Err("injected") } else { Ok(t) })
-            .try_to_vec();
-        if expect_fault {
-            assert_eq!(r.unwrap_err(), "injected");
-        } else {
-            assert_eq!(r.unwrap().len(), N);
-        }
-    });
-}
-
 // ---------------------------------------------------------------------
 // reduce operator
 // ---------------------------------------------------------------------
@@ -261,32 +245,6 @@ fn sweep_scan_panic() {
         assert_eq!(total.0, expected_sum());
         let v = s.to_vec();
         assert_eq!(v.len(), N);
-    });
-}
-
-#[test]
-fn sweep_scan_err() {
-    let _l = lock();
-    let _g = bds_seq::force_block_size(64);
-    sweep("scan/err", Mode::Err, &|expect_fault| {
-        let r = tabulate(N, |i| Tok::new(i as u64)).try_scan(Tok::new(0), |a, b| {
-            if faults::poll() {
-                Err("injected")
-            } else {
-                Ok(Tok::new(a.0 + b.0))
-            }
-        });
-        match r {
-            Err(e) => {
-                assert!(expect_fault, "scan/err: spurious failure {e}");
-                assert_eq!(e, "injected");
-            }
-            Ok((prefixes, total)) => {
-                assert!(!expect_fault, "scan/err: injected fault was swallowed");
-                assert_eq!(prefixes.len(), N);
-                assert_eq!(total.0, expected_sum());
-            }
-        }
     });
 }
 
@@ -356,29 +314,6 @@ fn sweep_flatten_panic() {
         }))
         .to_vec();
         assert_eq!(v.len(), flat_len());
-    });
-}
-
-#[test]
-fn sweep_flatten_err() {
-    let _l = lock();
-    let _g = bds_seq::force_block_size(16);
-    sweep("flatten/err", Mode::Err, &|expect_fault| {
-        let r = flatten(tabulate(OUTER, |k| {
-            tabulate(inner_len(k), move |i| {
-                if faults::poll() {
-                    Err("injected")
-                } else {
-                    Ok(Tok::new((k * 100 + i) as u64))
-                }
-            })
-        }))
-        .try_to_vec();
-        if expect_fault {
-            assert_eq!(r.unwrap_err(), "injected");
-        } else {
-            assert_eq!(r.unwrap().len(), flat_len());
-        }
     });
 }
 

@@ -1,6 +1,6 @@
 //! Defensive-invariant tests: the `Seq` contract says every block yields
 //! exactly its share of elements. The consumers' disjoint parallel
-//! writes are only safe because `to_vec`/`unzip` *verify* this at
+//! writes are only safe because `to_vec` *verifies* this at
 //! runtime — these tests implement deliberately broken sequences and
 //! check that the library refuses them (panics) instead of corrupting
 //! memory.

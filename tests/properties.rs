@@ -207,60 +207,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn append_matches_concat((xs, bs) in vec_and_block(), ys in prop::collection::vec(0u64..1000, 0..500)) {
-        let _g = lock_block_size(bs);
-        let got = block_delayed_sequences::seq::append(
-            from_slice(&xs),
-            from_slice(&ys),
-        )
-        .to_vec();
-        let mut want = xs.clone();
-        want.extend(&ys);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn unzip_inverts_zip((xs, bs) in vec_and_block()) {
-        let _g = lock_block_size(bs);
-        let ys: Vec<u64> = xs.iter().map(|x| x ^ 0xAA).collect();
-        let zipped = from_slice(&xs).zip(from_slice(&ys));
-        let (a, b) = block_delayed_sequences::seq::unzip(&zipped);
-        prop_assert_eq!(a, xs);
-        prop_assert_eq!(b, ys);
-    }
-
-    #[test]
-    fn any_all_match_iterators((xs, bs) in vec_and_block(), threshold in 0u64..1000) {
-        let _g = lock_block_size(bs);
-        let s = from_slice(&xs);
-        prop_assert_eq!(s.any(|&x| x > threshold), xs.iter().any(|&x| x > threshold));
-        let s = from_slice(&xs);
-        prop_assert_eq!(s.all(|&x| x > threshold), xs.iter().all(|&x| x > threshold));
-    }
-
-    #[test]
-    fn extrema_match_iterators((xs, bs) in vec_and_block()) {
-        let _g = lock_block_size(bs);
-        let s = from_slice(&xs);
-        prop_assert_eq!(s.max_by_key(|&x| x), xs.iter().copied().max());
-        let s = from_slice(&xs);
-        prop_assert_eq!(s.min_by_key(|&x| x), xs.iter().copied().min());
-    }
-
-    #[test]
-    fn segmented_reduce_matches_per_segment_sums(
-        parts in prop::collection::vec(prop::collection::vec(0u64..100, 0..30), 0..40),
-        bs in 1usize..2000,
-    ) {
-        let _g = lock_block_size(bs);
-        let inners: Vec<Forced<u64>> =
-            parts.iter().cloned().map(Forced::from_vec).collect();
-        let got = Flattened::from_inners(inners).segmented_reduce(0, |a, b| a + b);
-        let want: Vec<u64> = parts.iter().map(|p| p.iter().sum()).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
     fn enumerate_indices_are_dense((xs, bs) in vec_and_block()) {
         let _g = lock_block_size(bs);
         let got = from_slice(&xs).enumerate().to_vec();
