@@ -319,9 +319,7 @@ fn main() {
         // then only appears transiently, as designed backpressure.
         queue_capacity: 2 * WINDOW,
         max_concurrent: 2 * procs,
-        quantum: 1,
         breaker: bds_service::BreakerConfig::default(),
-        cold_start_work: bds_service::DEFAULT_COLD_START_WORK,
     });
     // Every tenant runs under the default retry policy: transient block
     // faults are absorbed by block-granular retry instead of striking

@@ -87,15 +87,14 @@ pub fn check_service(p: &Pipeline, subseed: u64) -> Vec<ServiceViolation> {
         workers: 2,
         queue_capacity: 64,
         max_concurrent: 2,
-        quantum: 1,
+        // Under the pinned check calibration (ns_per_work = 1.0) the cold
+        // deadline estimate is ~4 µs per request ahead; short-deadline
+        // legs may be refused at admission, which the matcher below
+        // tolerates.
         breaker: bds_service::BreakerConfig {
             trip_after: u32::MAX,
             ..Default::default()
         },
-        // Under the pinned check calibration (ns_per_work = 1.0) this
-        // seeds a ~4 µs cold estimate; short-deadline legs may now be
-        // refused at admission, which the matcher below tolerates.
-        cold_start_work: 4096,
     });
 
     // (tenant, leg, ticket) for every accepted submission.

@@ -96,17 +96,16 @@ impl PlanCache {
 
     /// Plans currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache poisoned").entries.len()
+        self.inner
+            .lock()
+            .expect("plan cache poisoned")
+            .entries
+            .len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 

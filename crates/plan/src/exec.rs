@@ -246,7 +246,8 @@ struct Segment<T> {
     input: Input<T>,
     window: Window,
     ops: Vec<Op<T>>,
-    /// Per-element cost of reading the input and running every op.
+    /// Per-element cost of reading the input and running every op: one
+    /// simple application each.
     cost: ElemCost,
     mode: ExecMode,
     /// The block size the seed passes ran under: their seeds belong to
@@ -259,21 +260,17 @@ struct Segment<T> {
 impl<T: Send + Sync + Clone + 'static> Segment<T> {
     fn of_source(source: &SourceOp<T>, mode: ExecMode) -> Segment<T> {
         match source {
-            SourceOp::Tabulate(n, fill, cost) => {
-                Segment::new(Input::Tabulate(fill.clone()), *n, *cost, mode)
-            }
-            SourceOp::FromVec(data) => {
-                Segment::new(Input::Data(data.clone()), data.len(), SIMPLE, mode)
-            }
+            SourceOp::Tabulate(n, fill) => Segment::new(Input::Tabulate(fill.clone()), *n, mode),
+            SourceOp::FromVec(data) => Segment::new(Input::Data(data.clone()), data.len(), mode),
         }
     }
 
-    fn new(input: Input<T>, len: usize, cost: ElemCost, mode: ExecMode) -> Segment<T> {
+    fn new(input: Input<T>, len: usize, mode: ExecMode) -> Segment<T> {
         Segment {
             input,
             window: Window::all(len),
             ops: Vec::new(),
-            cost,
+            cost: SIMPLE,
             mode,
             bs: None,
         }
@@ -281,40 +278,37 @@ impl<T: Send + Sync + Clone + 'static> Segment<T> {
 
     /// Append one stage.
     fn then(mut self, stage: &StageOp<T>) -> Segment<T> {
-        let (op, cost) = match stage {
+        let op = match stage {
             StageOp::Take(_) | StageOp::Skip(_) | StageOp::Rev => {
                 if self.ops.iter().any(Op::collapses) {
                     // A cut on a block-iterable stream forces it.
                     let mode = self.mode;
                     let data = self.collect();
                     let len = data.len();
-                    self = Segment::new(Input::Data(Arc::new(data)), len, SIMPLE, mode);
+                    self = Segment::new(Input::Data(Arc::new(data)), len, mode);
                 }
                 self.window.cut(stage);
                 return self;
             }
-            StageOp::Map(f, c) => (Op::Map(f.clone()), c),
-            StageOp::Filter(f, c) | StageOp::FilterMap(f, c) => (Op::Filter(f.clone()), c),
-            StageOp::MapIdx(f, c) => {
+            StageOp::Map(f) => Op::Map(f.clone()),
+            StageOp::Filter(f) | StageOp::FilterMap(f) => Op::Filter(f.clone()),
+            StageOp::MapIdx(f) => {
                 let at = if self.ops.iter().any(Op::drops) {
                     At::Counted(Vec::new())
                 } else {
                     At::Window(self.window)
                 };
-                (Op::Indexed(f.clone(), at), c)
+                Op::Indexed(f.clone(), at)
             }
-            StageOp::Scan(zero, kernel, c) | StageOp::ScanIncl(zero, kernel, c) => (
-                Op::Scan {
-                    kernel: kernel.clone(),
-                    zero: zero.clone(),
-                    inclusive: matches!(stage, StageOp::ScanIncl(..)),
-                    seeds: Vec::new(),
-                },
-                c,
-            ),
+            StageOp::Scan(zero, kernel) | StageOp::ScanIncl(zero, kernel) => Op::Scan {
+                kernel: kernel.clone(),
+                zero: zero.clone(),
+                inclusive: matches!(stage, StageOp::ScanIncl(..)),
+                seeds: Vec::new(),
+            },
         };
         self.ops.push(op);
-        self.cost += *cost;
+        self.cost += SIMPLE;
         self
     }
 

@@ -7,9 +7,11 @@
 //! [`Pipe`] captures the stage list *without running it*; an optimizer
 //! chooses how the whole pipeline runs before anything is consumed; and
 //! because the optimizer is a pure function of the pipeline's **shape**
-//! — stage kinds, arities, and cost classes, never the closures
-//! themselves — its output can be cached and shared across every
-//! pipeline with the same shape ([`PlanCache`]).
+//! — source kind, length class, stage kinds and consumer kind, never
+//! the closures themselves — its output can be cached and shared across
+//! every pipeline with the same shape ([`PlanCache`]). Every stage is
+//! priced as one simple function application, as in the paper's cost
+//! semantics.
 //!
 //! ## The optimizer's decision
 //!
@@ -81,5 +83,5 @@ mod shape;
 pub use cache::PlanCache;
 pub use optimize::{identity_plan, optimize, ExecMode, Plan};
 pub use pipe::{Consumed, ConsumerOp, Pipe};
-pub use service::{submit_collect, submit_count, submit_reduce, TenantPlanner};
-pub use shape::{ConsumerKind, PlanShape, SourceKind, StageKey, StageKind};
+pub use service::{submit_reduce, TenantPlanner};
+pub use shape::{ConsumerKind, PlanShape, SourceKind, StageKind};

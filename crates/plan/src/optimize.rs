@@ -6,11 +6,13 @@
 //! the [`PlanCache`](crate::PlanCache) sound: any pipeline with the same
 //! shape may execute any plan the optimizer produced for that shape.
 //!
-//! Its one decision is the [`ExecMode`]. The executor runs every stage
-//! as written (back to back over each chunk) and composes a chain of
-//! cuts into one window itself, so nothing else is left to rewrite; see
-//! DESIGN.md ("Plan legality") for why that is safe under faults,
-//! cancellation, and budgets.
+//! Its one decision is the [`ExecMode`], from one geometry solve that
+//! prices the source and every stage as one simple application each, as
+//! the executor does. The executor runs every stage as written (back to
+//! back over each chunk) and composes a chain of cuts into one window
+//! itself, so nothing else is left to rewrite; see DESIGN.md ("Plan
+//! legality") for why that is safe under faults, cancellation, and
+//! budgets.
 
 use bds_cost::ElemCost;
 
@@ -59,23 +61,24 @@ pub fn identity_plan(shape: PlanShape, mode: ExecMode) -> Plan {
 }
 
 fn pick_mode(shape: &PlanShape, workers: usize) -> ExecMode {
-    if shape.stages.iter().any(|k| k.kind.is_cut()) {
+    if shape.stages.iter().any(|k| k.is_cut()) {
         return ExecMode::Parallel;
     }
     let len = 1usize << u32::from(shape.len_class).min(62);
-    let mut work: u64 = 1 + shape
-        .stages
-        .iter()
-        .map(|k| 1u64 << u32::from(k.cost_class).min(62))
-        .sum::<u64>();
+    // The source and every stage cost one simple application each.
+    let mut work = 1 + shape.stages.len() as u64;
     // A fully vectorizable pipeline retires elements lane-parallel, so
     // its effective per-element work is a lane factor cheaper; pricing
     // that in here biases the solver toward the larger blocks vector
     // kernels want.
-    if !shape.stages.is_empty() && shape.stages.iter().all(|k| k.kind.is_vectorizable()) {
+    if !shape.stages.is_empty() && shape.stages.iter().all(|k| k.is_vectorizable()) {
         work = (work / vector_work_discount()).max(1);
     }
-    let per_elem = ElemCost { w: work, s: 1, a: 0 };
+    let per_elem = ElemCost {
+        w: work,
+        s: 1,
+        a: 0,
+    };
     let cal = bds_cost::calibration();
     let g = bds_cost::geometry::solve(len, per_elem, workers.max(1), &cal);
     if g.num_blocks <= 1 {
@@ -88,13 +91,9 @@ fn pick_mode(shape: &PlanShape, workers: usize) -> ExecMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shape::{ConsumerKind, SourceKind, StageKey, StageKind};
+    use crate::shape::{ConsumerKind, SourceKind, StageKind};
 
-    fn key(kind: StageKind, cost_class: u8) -> StageKey {
-        StageKey { kind, cost_class }
-    }
-
-    fn shape_of(stages: Vec<StageKey>) -> PlanShape {
+    fn shape_of(stages: Vec<StageKind>) -> PlanShape {
         PlanShape {
             source: SourceKind::Tabulate,
             len_class: 20,
@@ -114,22 +113,18 @@ mod tests {
             ns_per_work: 1.0,
             block_overhead_ns: 100.0,
         });
-        let mut tiny = shape_of(vec![key(StageKind::Map, 0)]);
+        let mut tiny = shape_of(vec![StageKind::Map]);
         tiny.len_class = 2;
         assert_eq!(optimize(tiny.clone(), 8).mode, ExecMode::Sequential);
-        tiny.stages.push(key(StageKind::Take, 0));
+        tiny.stages.push(StageKind::Take);
         assert_eq!(optimize(tiny, 8).mode, ExecMode::Parallel);
-        let big = shape_of(vec![key(StageKind::Map, 4)]);
+        let big = shape_of(vec![StageKind::Map]);
         assert_eq!(optimize(big, 8).mode, ExecMode::Parallel);
     }
 
     #[test]
     fn identity_plan_keeps_the_shape_and_mode() {
-        let shape = shape_of(vec![
-            key(StageKind::Map, 0),
-            key(StageKind::Take, 0),
-            key(StageKind::Skip, 0),
-        ]);
+        let shape = shape_of(vec![StageKind::Map, StageKind::Take, StageKind::Skip]);
         let plan = identity_plan(shape.clone(), ExecMode::Sequential);
         assert_eq!(plan.shape, shape);
         assert_eq!(plan.mode, ExecMode::Sequential);

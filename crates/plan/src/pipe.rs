@@ -2,10 +2,11 @@
 //!
 //! A [`Pipe`] records a source and a stage list as data — each closure
 //! wrapped by its builder method into a typed chunk kernel (see
-//! [`crate::kernel`]) and tagged with an [`ElemCost`] annotation —
-//! without running anything. Execution happens later, in
-//! [`Pipe::execute`], steered by a [`Plan`](crate::Plan) the optimizer
-//! produced from the pipe's [`shape`](Pipe::shape).
+//! [`crate::kernel`]) — without running anything. Execution happens
+//! later, in [`Pipe::execute`], steered by a [`Plan`](crate::Plan) the
+//! optimizer produced from the pipe's [`shape`](Pipe::shape). Every
+//! stage is priced as one simple function application, as in the
+//! paper's cost semantics; the executor adds that cost per stage.
 //!
 //! Stages are homogeneous (`T -> T`): the plan cache keys on shape, and
 //! letting each stage change the element type would push type identity
@@ -15,38 +16,40 @@
 
 use std::sync::Arc;
 
-use bds_cost::{ElemCost, SIMPLE};
+use bds_cost::ElemCost;
 
 use crate::kernel::{self, ChunkFn, FillFn, IndexedFn, ScanFn};
-use crate::shape::{cost_class, ConsumerKind, PlanShape, SourceKind, StageKey, StageKind};
+use crate::shape::{ConsumerKind, PlanShape, SourceKind, StageKind};
 
 /// Type-erased consumer closures.
 pub(crate) type PredFn<T> = Arc<dyn Fn(&T) -> bool + Send + Sync>;
 pub(crate) type CombineFn<T> = Arc<dyn Fn(T, T) -> T + Send + Sync>;
 
 /// A pipeline source, captured as data.
+#[derive(Clone)]
 pub(crate) enum SourceOp<T> {
-    /// `tabulate(n, f)` with a per-element cost annotation.
-    Tabulate(usize, FillFn<T>, ElemCost),
+    /// `tabulate(n, f)`.
+    Tabulate(usize, FillFn<T>),
     /// Pre-materialised input, shared by reference between clones and
     /// runs.
     FromVec(Arc<Vec<T>>),
 }
 
 /// A pipeline stage, captured as data.
+#[derive(Clone)]
 pub(crate) enum StageOp<T> {
     /// Element-wise transform.
-    Map(ChunkFn<T>, ElemCost),
+    Map(ChunkFn<T>),
     /// Element-wise transform that also receives the element's index.
-    MapIdx(IndexedFn<T>, ElemCost),
+    MapIdx(IndexedFn<T>),
     /// Keep elements satisfying the predicate.
-    Filter(ChunkFn<T>, ElemCost),
+    Filter(ChunkFn<T>),
     /// Combined transform-and-keep.
-    FilterMap(ChunkFn<T>, ElemCost),
+    FilterMap(ChunkFn<T>),
     /// Exclusive prefix combine from the given identity.
-    Scan(T, ScanFn<T>, ElemCost),
+    Scan(T, ScanFn<T>),
     /// Inclusive prefix combine from the given identity.
-    ScanIncl(T, ScanFn<T>, ElemCost),
+    ScanIncl(T, ScanFn<T>),
     /// Keep the first `k` elements.
     Take(usize),
     /// Drop the first `k` elements.
@@ -56,42 +59,27 @@ pub(crate) enum StageOp<T> {
 }
 
 impl<T> StageOp<T> {
-    pub(crate) fn key(&self) -> StageKey {
-        let (kind, cost) = match self {
-            StageOp::Map(_, c) => (StageKind::Map, *c),
-            StageOp::MapIdx(_, c) => (StageKind::MapIdx, *c),
-            StageOp::Filter(_, c) => (StageKind::Filter, *c),
-            StageOp::FilterMap(_, c) => (StageKind::FilterMap, *c),
-            StageOp::Scan(_, _, c) => (StageKind::Scan, *c),
-            StageOp::ScanIncl(_, _, c) => (StageKind::ScanIncl, *c),
-            StageOp::Take(_) => (StageKind::Take, ElemCost::ZERO),
-            StageOp::Skip(_) => (StageKind::Skip, ElemCost::ZERO),
-            StageOp::Rev => (StageKind::Rev, ElemCost::ZERO),
-        };
-        StageKey {
-            kind,
-            cost_class: cost_class(cost),
-        }
-    }
-}
-
-impl<T: Clone> Clone for StageOp<T> {
-    fn clone(&self) -> Self {
+    pub(crate) fn kind(&self) -> StageKind {
         match self {
-            StageOp::Map(f, c) => StageOp::Map(f.clone(), *c),
-            StageOp::MapIdx(f, c) => StageOp::MapIdx(f.clone(), *c),
-            StageOp::Filter(p, c) => StageOp::Filter(p.clone(), *c),
-            StageOp::FilterMap(f, c) => StageOp::FilterMap(f.clone(), *c),
-            StageOp::Scan(z, f, c) => StageOp::Scan(z.clone(), f.clone(), *c),
-            StageOp::ScanIncl(z, f, c) => StageOp::ScanIncl(z.clone(), f.clone(), *c),
-            StageOp::Take(k) => StageOp::Take(*k),
-            StageOp::Skip(k) => StageOp::Skip(*k),
-            StageOp::Rev => StageOp::Rev,
+            StageOp::Map(_) => StageKind::Map,
+            StageOp::MapIdx(_) => StageKind::MapIdx,
+            StageOp::Filter(_) => StageKind::Filter,
+            StageOp::FilterMap(_) => StageKind::FilterMap,
+            StageOp::Scan(..) => StageKind::Scan,
+            StageOp::ScanIncl(..) => StageKind::ScanIncl,
+            StageOp::Take(_) => StageKind::Take,
+            StageOp::Skip(_) => StageKind::Skip,
+            StageOp::Rev => StageKind::Rev,
         }
     }
 }
 
 /// A pipeline consumer, captured as data.
+///
+/// The [`ElemCost`] of `Reduce` and `Count` is not read: the chunked
+/// drive loops that run a plan's consumer price it themselves. It stays
+/// for now because the `perfbench` benchmark builds these variants with
+/// it.
 pub enum ConsumerOp<T> {
     /// Materialise into a `Vec`.
     Collect,
@@ -125,37 +113,17 @@ pub enum Consumed<T> {
 }
 
 /// An unexecuted pipeline: a source plus a stage list, captured as data.
+#[derive(Clone)]
 pub struct Pipe<T> {
     pub(crate) source: SourceOp<T>,
     pub(crate) stages: Vec<StageOp<T>>,
 }
 
-impl<T: Clone> Clone for Pipe<T> {
-    fn clone(&self) -> Self {
-        Pipe {
-            source: match &self.source {
-                SourceOp::Tabulate(n, f, c) => SourceOp::Tabulate(*n, f.clone(), *c),
-                SourceOp::FromVec(v) => SourceOp::FromVec(v.clone()),
-            },
-            stages: self.stages.clone(),
-        }
-    }
-}
-
 impl<T: Send + Sync + Clone + 'static> Pipe<T> {
-    /// Pipeline fed by `tabulate(n, f)`, priced as one simple pass.
+    /// Pipeline fed by `tabulate(n, f)`.
     pub fn tabulate(n: usize, f: impl Fn(usize) -> T + Send + Sync + 'static) -> Pipe<T> {
-        Pipe::tabulate_costed(n, f, SIMPLE)
-    }
-
-    /// [`Pipe::tabulate`] with an explicit per-element cost annotation.
-    pub fn tabulate_costed(
-        n: usize,
-        f: impl Fn(usize) -> T + Send + Sync + 'static,
-        cost: ElemCost,
-    ) -> Pipe<T> {
         Pipe {
-            source: SourceOp::Tabulate(n, kernel::tabulate(f), cost),
+            source: SourceOp::Tabulate(n, kernel::tabulate(f)),
             stages: Vec::new(),
         }
     }
@@ -168,63 +136,27 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
         }
     }
 
-    /// Append an element-wise transform, priced as one simple pass.
-    pub fn map(self, f: impl Fn(T) -> T + Send + Sync + 'static) -> Pipe<T> {
-        self.map_costed(f, SIMPLE)
-    }
-
-    /// [`Pipe::map`] with an explicit cost annotation.
-    pub fn map_costed(
-        mut self,
-        f: impl Fn(T) -> T + Send + Sync + 'static,
-        cost: ElemCost,
-    ) -> Pipe<T> {
-        self.stages.push(StageOp::Map(kernel::map(f), cost));
+    /// Append an element-wise transform.
+    pub fn map(mut self, f: impl Fn(T) -> T + Send + Sync + 'static) -> Pipe<T> {
+        self.stages.push(StageOp::Map(kernel::map(f)));
         self
     }
 
     /// Append an index-aware element-wise transform.
-    pub fn map_idx(self, f: impl Fn(usize, T) -> T + Send + Sync + 'static) -> Pipe<T> {
-        self.map_idx_costed(f, SIMPLE)
-    }
-
-    /// [`Pipe::map_idx`] with an explicit cost annotation.
-    pub fn map_idx_costed(
-        mut self,
-        f: impl Fn(usize, T) -> T + Send + Sync + 'static,
-        cost: ElemCost,
-    ) -> Pipe<T> {
-        self.stages.push(StageOp::MapIdx(kernel::map_idx(f), cost));
+    pub fn map_idx(mut self, f: impl Fn(usize, T) -> T + Send + Sync + 'static) -> Pipe<T> {
+        self.stages.push(StageOp::MapIdx(kernel::map_idx(f)));
         self
     }
 
-    /// Append a filter, priced as one simple pass.
-    pub fn filter(self, pred: impl Fn(&T) -> bool + Send + Sync + 'static) -> Pipe<T> {
-        self.filter_costed(pred, SIMPLE)
-    }
-
-    /// [`Pipe::filter`] with an explicit cost annotation.
-    pub fn filter_costed(
-        mut self,
-        pred: impl Fn(&T) -> bool + Send + Sync + 'static,
-        cost: ElemCost,
-    ) -> Pipe<T> {
-        self.stages.push(StageOp::Filter(kernel::filter(pred), cost));
+    /// Append a filter.
+    pub fn filter(mut self, pred: impl Fn(&T) -> bool + Send + Sync + 'static) -> Pipe<T> {
+        self.stages.push(StageOp::Filter(kernel::filter(pred)));
         self
     }
 
     /// Append a combined transform-and-keep stage.
-    pub fn filter_map(self, f: impl Fn(T) -> Option<T> + Send + Sync + 'static) -> Pipe<T> {
-        self.filter_map_costed(f, SIMPLE)
-    }
-
-    /// [`Pipe::filter_map`] with an explicit cost annotation.
-    pub fn filter_map_costed(
-        mut self,
-        f: impl Fn(T) -> Option<T> + Send + Sync + 'static,
-        cost: ElemCost,
-    ) -> Pipe<T> {
-        self.stages.push(StageOp::FilterMap(kernel::filter_map(f), cost));
+    pub fn filter_map(mut self, f: impl Fn(T) -> Option<T> + Send + Sync + 'static) -> Pipe<T> {
+        self.stages.push(StageOp::FilterMap(kernel::filter_map(f)));
         self
     }
 
@@ -232,14 +164,13 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
     /// identity, and the combiner associative, as everywhere in this
     /// workspace).
     pub fn scan(mut self, zero: T, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Pipe<T> {
-        self.stages.push(StageOp::Scan(zero, kernel::scan(f), SIMPLE));
+        self.stages.push(StageOp::Scan(zero, kernel::scan(f)));
         self
     }
 
     /// Append an inclusive prefix combine.
     pub fn scan_incl(mut self, zero: T, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Pipe<T> {
-        self.stages
-            .push(StageOp::ScanIncl(zero, kernel::scan(f), SIMPLE));
+        self.stages.push(StageOp::ScanIncl(zero, kernel::scan(f)));
         self
     }
 
@@ -262,7 +193,7 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
     }
 
     /// Source length (stages may shrink or permute, never grow).
-    pub fn source_len(&self) -> usize {
+    fn source_len(&self) -> usize {
         match &self.source {
             SourceOp::Tabulate(n, ..) => *n,
             SourceOp::FromVec(v) => v.len(),
@@ -278,7 +209,7 @@ impl<T: Send + Sync + Clone + 'static> Pipe<T> {
                 SourceOp::FromVec(_) => SourceKind::FromVec,
             },
             len_class: bds_cost::ceil_log2(self.source_len() as u64) as u8,
-            stages: self.stages.iter().map(StageOp::key).collect(),
+            stages: self.stages.iter().map(StageOp::kind).collect(),
             consumer,
         }
     }
@@ -309,17 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn shape_sees_cost_classes_and_length_classes() {
-        let cheap = Pipe::tabulate(1 << 10, |i| i as u64).map(|x| x);
-        let costly = Pipe::tabulate(1 << 10, |i| i as u64)
-            .map_costed(|x| x, bds_cost::ElemCost { w: 64, s: 1, a: 0 });
-        assert_ne!(
-            cheap.shape(ConsumerKind::Collect),
-            costly.shape(ConsumerKind::Collect)
-        );
+    fn shape_sees_length_classes() {
+        let short = Pipe::tabulate(1 << 10, |i| i as u64).map(|x| x);
         let longer = Pipe::tabulate(1 << 20, |i| i as u64).map(|x| x);
         assert_ne!(
-            cheap.shape(ConsumerKind::Collect),
+            short.shape(ConsumerKind::Collect),
             longer.shape(ConsumerKind::Collect)
         );
     }

@@ -49,36 +49,16 @@ impl TenantPlanner {
         plan
     }
 
-    /// The underlying cache (for capacity/occupancy introspection).
+    /// The underlying cache (for occupancy and hit/miss introspection).
     pub fn cache(&self) -> &PlanCache {
         &self.cache
     }
 }
 
-/// Plan `pipe` through `planner` and submit its collection to `svc`.
+/// Plan `pipe` through `planner` and submit its reduction to `svc`.
 ///
 /// Planning happens in the caller before admission — a rejected request
 /// never runs pipeline code, but its plan stays cached for the retry.
-pub fn submit_collect<T>(
-    svc: &Service,
-    tenant: Tenant,
-    planner: &TenantPlanner,
-    budget: Budget,
-    pipe: Pipe<T>,
-) -> Result<Ticket<Vec<T>>, Rejected>
-where
-    T: Send + Sync + Clone + 'static,
-{
-    let plan = planner.plan(pipe.shape(ConsumerKind::Collect));
-    svc.submit(tenant, budget, move || {
-        match pipe.execute(&plan, &ConsumerOp::Collect) {
-            Consumed::Vec(v) => v,
-            _ => unreachable!("collect plan produced a non-vec"),
-        }
-    })
-}
-
-/// Plan `pipe` through `planner` and submit its reduction to `svc`.
 pub fn submit_reduce<T>(
     svc: &Service,
     tenant: Tenant,
@@ -97,28 +77,6 @@ where
         match pipe.execute(&plan, &consumer) {
             Consumed::Scalar(x) => x,
             _ => unreachable!("reduce plan produced a non-scalar"),
-        }
-    })
-}
-
-/// Plan `pipe` through `planner` and submit a predicate count to `svc`.
-pub fn submit_count<T>(
-    svc: &Service,
-    tenant: Tenant,
-    planner: &TenantPlanner,
-    budget: Budget,
-    pipe: Pipe<T>,
-    pred: impl Fn(&T) -> bool + Send + Sync + 'static,
-) -> Result<Ticket<usize>, Rejected>
-where
-    T: Send + Sync + Clone + 'static,
-{
-    let plan = planner.plan(pipe.shape(ConsumerKind::Count));
-    let consumer = ConsumerOp::Count(Arc::new(pred), bds_cost::SIMPLE);
-    svc.submit(tenant, budget, move || {
-        match pipe.execute(&plan, &consumer) {
-            Consumed::Num(n) => n,
-            _ => unreachable!("count plan produced a non-count"),
         }
     })
 }
@@ -180,15 +138,14 @@ mod tests {
             workers: 2,
             ..ServiceConfig::default()
         });
-        let tenant = svc.tenant("shapes");
         let planner = TenantPlanner::new(&svc, "shapes", 8);
-        let mk = || Pipe::tabulate(256, |i| i as u64).map(|x| x + 1);
-        let c = submit_collect(&svc, tenant, &planner, Budget::unlimited(), mk())
-            .expect("admitted");
-        let n = submit_count(&svc, tenant, &planner, Budget::unlimited(), mk(), |&x| x > 128)
-            .expect("admitted");
-        assert_eq!(block_on(c).expect("ok").len(), 256);
-        assert_eq!(block_on(n).expect("ok"), 128);
+        let pipe = Pipe::tabulate(256, |i| i as u64).map(|x| x + 1);
+        let collect = planner.plan(pipe.shape(ConsumerKind::Collect));
+        let count = planner.plan(pipe.shape(ConsumerKind::Count));
+        assert_ne!(collect.shape, count.shape);
         assert_eq!(planner.cache().misses(), 2);
+        let same = planner.plan(pipe.shape(ConsumerKind::Count));
+        assert!(Arc::ptr_eq(&count, &same), "one plan per shape");
+        assert_eq!(planner.cache().hits(), 1);
     }
 }

@@ -1,13 +1,13 @@
 //! Closure-agnostic pipeline shapes — the plan-cache key.
 //!
 //! A [`PlanShape`] is everything the optimizer is allowed to look at:
-//! stage kinds in order, their cost classes, the source kind and length
-//! class, and the consumer kind. Two pipelines with different closures
-//! but the same shape get the same plan; nothing derived from a closure
-//! (addresses, captures, `take`/`skip` amounts) may enter the key, or
-//! cached plans would leak one caller's identity into another's.
-
-use bds_cost::ElemCost;
+//! stage kinds in order, the source kind and length class, and the
+//! consumer kind. Every stage is priced as one simple function
+//! application, so its kind is all the optimizer needs of it. Two
+//! pipelines with different closures but the same shape get the same
+//! plan; nothing derived from a closure (addresses, captures,
+//! `take`/`skip` amounts) may enter the key, or cached plans would leak
+//! one caller's identity into another's.
 
 /// Kind of pipeline source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,19 +61,6 @@ impl StageKind {
     }
 }
 
-/// One stage's contribution to the cache key: its kind plus the
-/// magnitude class of its per-element cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StageKey {
-    /// Which combinator this stage is.
-    pub kind: StageKind,
-    /// `ceil(log2(work))` of the stage's [`ElemCost`]; index-space
-    /// stages are class 0. Bucketing by magnitude keeps the key stable
-    /// under small cost-annotation drift while still letting the
-    /// optimizer distinguish "cheap filter" from "expensive map".
-    pub cost_class: u8,
-}
-
 /// Kind of pipeline consumer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConsumerKind {
@@ -94,29 +81,15 @@ pub struct PlanShape {
     /// `ceil(log2(source length))` — the optimizer's parallelism
     /// decision needs magnitude, not the exact length.
     pub len_class: u8,
-    /// Per-stage keys, in pipeline order.
-    pub stages: Vec<StageKey>,
+    /// Stage kinds, in pipeline order.
+    pub stages: Vec<StageKind>,
     /// Consumer kind.
     pub consumer: ConsumerKind,
-}
-
-/// Bucket a per-element cost annotation into its magnitude class.
-pub(crate) fn cost_class(cost: ElemCost) -> u8 {
-    bds_cost::ceil_log2(cost.w.max(1)) as u8
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cost_classes_bucket_by_magnitude() {
-        assert_eq!(cost_class(ElemCost { w: 0, s: 0, a: 0 }), 0);
-        assert_eq!(cost_class(ElemCost { w: 1, s: 1, a: 0 }), 0);
-        assert_eq!(cost_class(ElemCost { w: 2, s: 1, a: 0 }), 1);
-        assert_eq!(cost_class(ElemCost { w: 3, s: 1, a: 0 }), 2);
-        assert_eq!(cost_class(ElemCost { w: 64, s: 1, a: 0 }), 6);
-    }
 
     #[test]
     fn stage_kind_classes_are_disjoint_where_required() {

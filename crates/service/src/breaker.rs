@@ -151,7 +151,10 @@ mod tests {
         b.on_panic(t0);
         b.on_success();
         b.on_panic(t0);
-        assert!(b.check(t0).is_ok(), "strikes must not accumulate across successes");
+        assert!(
+            b.check(t0).is_ok(),
+            "strikes must not accumulate across successes"
+        );
     }
 
     #[test]

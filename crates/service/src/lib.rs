@@ -5,8 +5,8 @@
 //! the pool's latches, not on an OS thread. Robustness is the design
 //! center:
 //!
-//! * **Fair admission** — per-tenant bounded queues drained by weighted
-//!   deficit round-robin; a hot tenant cannot starve a quiet one.
+//! * **Fair admission** — per-tenant bounded queues drained
+//!   round-robin; a hot tenant cannot starve a quiet one.
 //! * **Backpressure** — a full tenant queue is a typed
 //!   [`Rejected::QueueFull`], never unbounded buffering.
 //! * **Deadline-aware admission** — requests whose deadline cannot be
@@ -46,7 +46,7 @@ mod service;
 mod ticket;
 
 pub use breaker::BreakerConfig;
-pub use service::{Rejected, Service, ServiceConfig, Tenant, DEFAULT_COLD_START_WORK};
+pub use service::{Rejected, Service, ServiceConfig, Tenant};
 pub use ticket::{block_on, Response, ServiceError, Ticket};
 
 // Re-exported so call sites can build budgets and match budget trips

@@ -39,20 +39,29 @@ fn quietly<R>(f: impl FnOnce() -> R) -> R {
 /// moves if a run actually leaks. Pool-owned state (worker deques, the
 /// injector) is excluded by taking the baseline *before* `Pool::new` and
 /// measuring after the pool is dropped.
+///
+/// The warm-ups run on a pool of their own, joined before this returns.
+/// On the global pool a worker could still be freeing warm-up memory
+/// after the caller woke, and the baseline taken next would then count
+/// bytes that are gone by the time the test measures.
 fn warm_globals() {
     // The test harness finishes the previous test (its thread exits, the
     // main thread records and prints the result) while this one starts;
     // those frees land in this test's window unless it waits them out.
     std::thread::sleep(Duration::from_millis(50));
-    let _ = bds_pool::run_governed(
-        Budget::unlimited().with_deadline(Duration::from_secs(3600)),
-        || tabulate(4096, |i| i as u64).reduce(0, |a, b| a + b),
-    );
-    let _ = quietly(|| {
-        bds_pool::run_governed(Budget::unlimited().with_mem_bytes(1), || {
-            tabulate(4096, |i| i as u64).to_vec()
-        })
+    let pool = Pool::new(2);
+    pool.install(|| {
+        let _ = bds_pool::run_governed(
+            Budget::unlimited().with_deadline(Duration::from_secs(3600)),
+            || tabulate(4096, |i| i as u64).reduce(0, |a, b| a + b),
+        );
+        let _ = quietly(|| {
+            bds_pool::run_governed(Budget::unlimited().with_mem_bytes(1), || {
+                tabulate(4096, |i| i as u64).to_vec()
+            })
+        });
     });
+    drop(pool);
 }
 
 /// The headline acceptance claim: a 10 ms deadline over a pipeline that
